@@ -71,6 +71,7 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     DTA_SIM_REQUIRE(cfg_.nodes > 0 && cfg_.spes_per_node > 0,
                     "machine needs at least one node and one SPE");
     isa::validate_program(prog_);
+    decoded_ = isa::predecode(prog_);
     // FALLOC requests carry the code id in 16 wire bits (the upper bits of
     // the word carry the parent thread uid — see sched::pack_carried_uid).
     DTA_SIM_REQUIRE(prog_.codes.size() <= 0x10000,
@@ -140,7 +141,8 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     }
     pes_.reserve(cfg_.total_pes());
     for (sim::GlobalPeId id = 0; id < cfg_.total_pes(); ++id) {
-        pes_.push_back(std::make_unique<Pe>(cfg_, topo_, id, prog_, logger_));
+        pes_.push_back(std::make_unique<Pe>(cfg_, topo_, id, prog_, decoded_,
+                                             logger_));
         // Parking is the PE's own cheap idle shortcut; under the wheel the
         // scheduler makes it moot (a parked PE simply is not visited), but
         // degraded dense stretches still take the parked fast path.

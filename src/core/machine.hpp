@@ -338,6 +338,8 @@ private:
 
     MachineConfig cfg_;
     isa::Program prog_;
+    /// Issue facts of prog_, decoded once and shared by every PE.
+    isa::DecodedProgram decoded_;
     sched::Topology topo_;
     FabricLayout layout_;
     sim::Logger logger_;

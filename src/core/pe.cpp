@@ -8,19 +8,20 @@
 
 namespace dta::core {
 
-using isa::CodeBlock;
 using isa::Instruction;
 using isa::IssuePort;
 using isa::Opcode;
 
 Pe::Pe(const MachineConfig& cfg, const sched::Topology& topo,
-       sim::GlobalPeId self, const isa::Program& prog, const sim::Logger& log)
+       sim::GlobalPeId self, const isa::Program& prog,
+       const isa::DecodedProgram& decoded, const sim::Logger& log)
     : cfg_(cfg.spu),
       lse_cfg_(cfg.lse),
       topo_(topo),
       layout_{cfg.spes_per_node, cfg.nodes > 1},
       self_(self),
       prog_(prog),
+      decoded_(decoded),
       log_(log),
       ls_(cfg.local_store),
       lse_(cfg.lse, topo, self, ls_),
@@ -254,6 +255,7 @@ void Pe::bind_thread(const sched::Dispatch& d, sim::Cycle now) {
     slot_ = d.slot;
     code_id_ = d.code;
     code_ = &prog_.at(d.code);
+    facts_ = decoded_[d.code].data();
     ip_ = d.resume_ip;
     freed_ = false;
     if (d.has_snapshot) {
@@ -304,6 +306,7 @@ void Pe::unbind(sim::Cycle now) {
     }
     bound_ = false;
     code_ = nullptr;
+    facts_ = nullptr;
     busy_until_ = 0;
     busy_reason_ = BusyReason::kNone;
 }
@@ -324,29 +327,26 @@ CycleBucket Pe::stall_bucket(RegSrc src) const {
     return CycleBucket::kPipeStall;
 }
 
-std::optional<CycleBucket> Pe::operand_block(const Instruction& ins,
+std::optional<CycleBucket> Pe::operand_block(const isa::IssueFacts& f,
                                              sim::Cycle now) const {
-    const auto& oi = ins.info();
-    const auto blocked = [&](std::uint8_t r) -> bool {
-        return r != 0 && reg_ready_[r] > now;
-    };
-    if (oi.reads_ra && blocked(ins.ra)) return stall_bucket(reg_src_[ins.ra]);
-    if (oi.reads_rb && blocked(ins.rb)) return stall_bucket(reg_src_[ins.rb]);
-    if ((oi.writes_rd || oi.reads_rd) && blocked(ins.rd)) {
-        return stall_bucket(reg_src_[ins.rd]);
+    for (std::uint8_t k = 0; k < f.num_regs; ++k) {
+        const std::uint8_t r = f.regs[k];
+        if (reg_ready_[r] > now) {
+            return stall_bucket(reg_src_[r]);
+        }
     }
     return std::nullopt;
 }
 
-Pe::IssueCheck Pe::can_issue(const Instruction& ins, sim::Cycle now) const {
-    const bool in_pf = ins.block == CodeBlock::kPf;
+Pe::IssueCheck Pe::can_issue(std::uint32_t ip, sim::Cycle now) const {
+    const isa::IssueFacts& f = facts_[ip];
     const auto as_pf = [&](CycleBucket b) {
-        return in_pf ? CycleBucket::kPrefetch : b;
+        return f.in_pf ? CycleBucket::kPrefetch : b;
     };
-    if (auto b = operand_block(ins, now)) {
+    if (auto b = operand_block(f, now)) {
         return {false, as_pf(*b)};
     }
-    switch (ins.op) {
+    switch (f.op) {
         case Opcode::kRead:
             if (outstanding_reads_ >= cfg_.max_outstanding_reads) {
                 return {false, as_pf(CycleBucket::kMemStall)};
@@ -359,7 +359,7 @@ Pe::IssueCheck Pe::can_issue(const Instruction& ins, sim::Cycle now) const {
             break;
         case Opcode::kStore:
         case Opcode::kStoreX: {
-            const auto h = sim::FrameHandle::unpack(reg(ins.rb));
+            const auto h = sim::FrameHandle::unpack(reg(code_->code[ip].rb));
             if (h.global_pe != self_ &&
                 outgoing_.size() >= kOutgoingPullCap) {
                 return {false, as_pf(CycleBucket::kLseStall)};
@@ -433,16 +433,15 @@ void Pe::tick_spu(sim::Cycle now) {
     std::optional<IssuePort> first_port;
     for (int pipe = 0; pipe < 2; ++pipe) {
         DTA_CHECK_MSG(ip_ < code_->size(), "instruction pointer ran off code");
-        const Instruction& ins = code_->code[ip_];
-        const auto& oi = ins.info();
+        const isa::IssueFacts& f = facts_[ip_];
         if (pipe == 1) {
             // Second slot: must use the other pipe; control ops serialise.
-            if (oi.port == IssuePort::kControl || !first_port ||
-                oi.port == *first_port) {
+            if (f.port == IssuePort::kControl || !first_port ||
+                f.port == *first_port) {
                 break;
             }
         }
-        const IssueCheck chk = can_issue(ins, now);
+        const IssueCheck chk = can_issue(ip_, now);
         if (!chk.ok) {
             if (pipe == 0) {
                 stall = chk.stall;
@@ -450,10 +449,11 @@ void Pe::tick_spu(sim::Cycle now) {
             break;
         }
         if (pipe == 0) {
-            first_bucket = ins.block == CodeBlock::kPf ? CycleBucket::kPrefetch
-                                                       : CycleBucket::kWorking;
-            first_port = oi.port;
+            first_bucket =
+                f.in_pf ? CycleBucket::kPrefetch : CycleBucket::kWorking;
+            first_port = f.port;
         }
+        const Instruction& ins = code_->code[ip_];
         if (events_ != nullptr &&
             static_cast<std::int8_t>(ins.block) != phase_block_) {
             phase_block_ = static_cast<std::int8_t>(ins.block);
@@ -461,7 +461,7 @@ void Pe::tick_spu(sim::Cycle now) {
                        static_cast<std::uint64_t>(ins.block),
                        static_cast<std::uint8_t>(ins.block));
         }
-        instrs_.count(ins.op);
+        instrs_.count(f.op);
         ++code_instrs_[code_id_];
         ++issued;
         const bool continue_cycle = execute(ins, now);
@@ -864,21 +864,18 @@ bool Pe::quiescent() const {
 // Activity horizon / fast-forward
 // ---------------------------------------------------------------------------
 
-sim::Cycle Pe::operand_horizon(const Instruction& ins, sim::Cycle now) const {
+sim::Cycle Pe::operand_horizon(const isa::IssueFacts& f,
+                               sim::Cycle now) const {
     sim::Cycle h = sim::kIdleForever;
-    const auto consider = [&](std::uint8_t r) {
+    for (std::uint8_t k = 0; k < f.num_regs; ++k) {
         // Regs pending on external events (kCycleNever) are woken by the
         // component carrying the request; only finite ready-times schedule
         // a retry here.
-        if (r != 0 && reg_ready_[r] > now + 1 &&
-            reg_ready_[r] != sim::kCycleNever && reg_ready_[r] < h) {
-            h = reg_ready_[r];
+        const sim::Cycle ready = reg_ready_[f.regs[k]];
+        if (ready > now + 1 && ready != sim::kCycleNever && ready < h) {
+            h = ready;
         }
-    };
-    const auto& oi = ins.info();
-    if (oi.reads_ra) consider(ins.ra);
-    if (oi.reads_rb) consider(ins.rb);
-    if (oi.writes_rd || oi.reads_rd) consider(ins.rd);
+    }
     return h;
 }
 
@@ -898,11 +895,11 @@ sim::Cycle Pe::next_activity(sim::Cycle now) const {
         } else {
             // The pipeline attempts issue next cycle; skippable only while
             // the verdict provably cannot change.
-            const IssueCheck chk = can_issue(code_->code[ip_], now + 1);
+            const IssueCheck chk = can_issue(ip_, now + 1);
             if (chk.ok) {
                 return now + 1;
             }
-            const sim::Cycle op_h = operand_horizon(code_->code[ip_], now);
+            const sim::Cycle op_h = operand_horizon(facts_[ip_], now);
             h = op_h < h ? op_h : h;
         }
     } else {
@@ -957,7 +954,7 @@ void Pe::skip(sim::Cycle from, sim::Cycle to) {
             // The stall verdict is constant across the span: every finite
             // operand ready-time bounds the horizon, and resource state
             // only mutates inside ticks.
-            const IssueCheck chk = can_issue(code_->code[ip_], from);
+            const IssueCheck chk = can_issue(ip_, from);
             DTA_CHECK_MSG(!chk.ok, "fast-forward skipped an issuable cycle");
             breakdown_.charge(chk.stall, n);
         }
@@ -1095,6 +1092,7 @@ void Pe::load_state(sim::StateSource& s) {
     // The bound thread-code pointer is wiring into the (identical, by
     // config-fingerprint check) program, not serialized state.
     code_ = bound_ ? &prog_.at(code_id_) : nullptr;
+    facts_ = bound_ ? decoded_[code_id_].data() : nullptr;
 }
 
 }  // namespace dta::core

@@ -22,6 +22,7 @@
 #include "core/config.hpp"
 #include "core/topology.hpp"
 #include "dma/mfc.hpp"
+#include "isa/predecode.hpp"
 #include "isa/program.hpp"
 #include "mem/local_store.hpp"
 #include "noc/packet.hpp"
@@ -36,9 +37,11 @@ namespace dta::core {
 /// One SPE of the machine.
 class Pe final : public sim::Component {
 public:
+    /// \p decoded is predecode(prog), built once by the machine and shared
+    /// by every PE; both must outlive the PE.
     Pe(const MachineConfig& cfg, const sched::Topology& topo,
        sim::GlobalPeId self, const isa::Program& prog,
-       const sim::Logger& log);
+       const isa::DecodedProgram& decoded, const sim::Logger& log);
 
     Pe(const Pe&) = delete;
     Pe& operator=(const Pe&) = delete;
@@ -189,17 +192,17 @@ private:
     void handle_dispatch(sim::Cycle now);
     void bind_thread(const sched::Dispatch& d, sim::Cycle now);
     void unbind(sim::Cycle now);
-    [[nodiscard]] IssueCheck can_issue(const isa::Instruction& ins,
-                                       sim::Cycle now) const;
+    /// Issue verdict for instruction \p ip of the bound thread code.
+    [[nodiscard]] IssueCheck can_issue(std::uint32_t ip, sim::Cycle now) const;
     /// Executes \p ins; returns false when the pipeline must not look at a
     /// second slot this cycle (branch taken, control op, thread unbound).
     bool execute(const isa::Instruction& ins, sim::Cycle now);
     [[nodiscard]] CycleBucket stall_bucket(RegSrc src) const;
     [[nodiscard]] std::optional<CycleBucket> operand_block(
-        const isa::Instruction& ins, sim::Cycle now) const;
+        const isa::IssueFacts& f, sim::Cycle now) const;
     /// Earliest cycle a finite operand ready-time could change the issue
-    /// verdict of \p ins (kIdleForever when all blockers are external).
-    [[nodiscard]] sim::Cycle operand_horizon(const isa::Instruction& ins,
+    /// verdict of \p f (kIdleForever when all blockers are external).
+    [[nodiscard]] sim::Cycle operand_horizon(const isa::IssueFacts& f,
                                              sim::Cycle now) const;
 
     // execution helpers
@@ -247,6 +250,7 @@ private:
     FabricLayout layout_;
     sim::GlobalPeId self_;
     const isa::Program& prog_;
+    const isa::DecodedProgram& decoded_;
     const sim::Logger& log_;
 
     // components
@@ -264,6 +268,7 @@ private:
     std::uint32_t slot_ = 0;
     sim::ThreadCodeId code_id_ = 0;
     const isa::ThreadCode* code_ = nullptr;
+    const isa::IssueFacts* facts_ = nullptr;  ///< decoded_[code_id_] while bound
     std::uint32_t ip_ = 0;
     bool freed_ = false;  ///< FFREE already executed by this thread
     std::array<std::uint64_t, isa::kNumRegs> regs_{};

@@ -148,14 +148,18 @@ void Mfc::start_decode(sim::Cycle now) {
 }
 
 void Mfc::emit_lines() {
-    // Walk active commands in slot order of arrival; emission order within a
-    // command is sequential.  We iterate over all slots but only ones with
-    // unemitted lines do work; the command count is tiny (<= queue depth).
-    for (std::size_t idx = 0; idx < active_.size(); ++idx) {
+    // Walk active commands in slot order; emission order within a command
+    // is sequential.  The walk stops once the outstanding-line limit is
+    // reached or every command with lines left to emit has been visited.
+    std::uint32_t unvisited = emitting_;
+    for (std::size_t idx = 0; unvisited > 0 && idx < active_.size() &&
+                              lines_in_flight_ < cfg_.max_outstanding_lines;
+         ++idx) {
         ActiveCommand& ac = active_[idx];
         if (ac.lines_total == 0 || ac.lines_emitted == ac.lines_total) {
             continue;
         }
+        --unvisited;
         while (ac.lines_emitted < ac.lines_total &&
                lines_in_flight_ < cfg_.max_outstanding_lines) {
             const std::uint32_t i = ac.lines_emitted++;
@@ -191,14 +195,13 @@ void Mfc::emit_lines() {
                 ls_.enqueue(mem::LsClient::kMfc, std::move(rq));
             }
         }
-        if (lines_in_flight_ >= cfg_.max_outstanding_lines) {
-            break;
+        if (ac.lines_emitted == ac.lines_total) {
+            --emitting_;
         }
     }
 }
 
-void Mfc::tick(sim::Cycle now) {
-    now_ = now;
+void Mfc::advance(sim::Cycle now) {
     // 1. Drain LS responses belonging to the MFC.
     mem::LsResponse resp;
     while (ls_.pop_response(mem::LsClient::kMfc, resp)) {
@@ -249,6 +252,7 @@ void Mfc::tick(sim::Cycle now) {
         ac.enqueued_at = decode_cmd_enq_at_;
         ac.lines_total = count_lines(decode_cmd_, cfg_.line_bytes);
         DTA_CHECK(ac.lines_total > 0);
+        ++emitting_;
         if (!free_slots_.empty()) {
             const std::size_t slot = free_slots_.front();
             free_slots_.pop_front();
@@ -365,10 +369,14 @@ void Mfc::audit(const sim::AuditCtx& ctx) const {
         }
         ++table_lines[info.active_idx];
     }
+    std::uint32_t emitting = 0;
     for (std::size_t idx = 0; idx < active_.size(); ++idx) {
         const ActiveCommand& ac = active_[idx];
         if (ac.lines_total == 0) {
             continue;  // free slot
+        }
+        if (ac.lines_emitted < ac.lines_total) {
+            ++emitting;
         }
         if (ac.lines_emitted > ac.lines_total ||
             ac.lines_finished > ac.lines_emitted) {
@@ -386,6 +394,13 @@ void Mfc::audit(const sim::AuditCtx& ctx) const {
                          " lines in the table but its ledger says " +
                          std::to_string(ac.lines_emitted - ac.lines_finished));
         }
+    }
+    if (emitting != emitting_) {
+        ctx.fail("line-accounting",
+                 "emit counter says " + std::to_string(emitting_) +
+                     " commands have lines left to emit but the command "
+                     "ledger holds " +
+                     std::to_string(emitting));
     }
     // Free-slot list: exactly the completed slots, each once.
     std::size_t completed_slots = 0;
@@ -478,6 +493,12 @@ void Mfc::load_state(sim::StateSource& s) {
         ac.lines_emitted = k.u32();
         ac.lines_finished = k.u32();
     });
+    emitting_ = 0;
+    for (const ActiveCommand& ac : active_) {
+        if (ac.lines_total != 0 && ac.lines_emitted < ac.lines_total) {
+            ++emitting_;
+        }
+    }
     sim::load_seq(s, free_slots_,
                   [](sim::StateSource& k, std::size_t& idx) { idx = k.u64(); });
     sim::load_seq(s, ready_lines_,

@@ -104,8 +104,17 @@ public:
     /// Enqueues a command; returns false when the queue is full.
     [[nodiscard]] bool try_enqueue(MfcCommand cmd);
 
-    /// Advances decode, line issue, and LS write-back by one cycle.
-    void tick(sim::Cycle now) override;
+    /// Advances decode, line issue, and LS write-back by one cycle.  A tick
+    /// with nothing due — no decode, no queued command, no LS response for
+    /// the MFC, no command with lines left to emit — only stamps now_.
+    void tick(sim::Cycle now) override {
+        now_ = now;
+        if (!decoding_ && queue_.empty() && emitting_ == 0 &&
+            !ls_.has_response(mem::LsClient::kMfc)) {
+            return;
+        }
+        advance(now);
+    }
 
     /// Horizon: emitted-but-unfetched lines and fresh completions need the
     /// owning PE next cycle; a decode in progress matures at
@@ -199,6 +208,8 @@ private:
         std::uint32_t bytes = 0;
     };
 
+    /// The work of a tick that has something due (see tick()).
+    void advance(sim::Cycle now);
     void start_decode(sim::Cycle now);
     void emit_lines();
     /// Publishes the completion (and metrics) when every line landed.
@@ -216,6 +227,10 @@ private:
     sim::Cycle decode_cmd_enq_at_ = 0;
     std::vector<ActiveCommand> active_;    ///< indexed by slot; freed lazily
     std::deque<std::size_t> free_slots_;
+    /// Active commands with lines left to emit.  Kept where commands
+    /// activate and lines are emitted; derived state, so snapshots do not
+    /// carry it and load_state() recomputes it.
+    std::uint32_t emitting_ = 0;
     std::deque<MfcLineRequest> ready_lines_;  ///< emitted, waiting for pickup
     std::uint64_t next_line_id_ = 1;
     std::vector<std::pair<std::uint64_t, LineInfo>> line_table_;  ///< in-flight

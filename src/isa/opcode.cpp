@@ -1,89 +1,13 @@
 #include "isa/opcode.hpp"
 
-#include <array>
-
 #include "sim/check.hpp"
 
 namespace dta::isa {
-namespace {
 
-constexpr OpInfo make(std::string_view name, IssuePort port, LatencyClass lat,
-                      bool wr_rd, bool rd_ra, bool rd_rb, bool branch = false,
-                      bool rd_rd = false) {
-    return OpInfo{name, port, lat, wr_rd, rd_ra, rd_rb, branch, rd_rd};
+std::string_view op_name(Opcode op) {
+    DTA_CHECK_MSG(static_cast<std::size_t>(op) < op_count(),
+                  "opcode out of range");
+    return op_info(op).name;
 }
-
-// Order must match the Opcode enumeration exactly; verified below.
-constexpr std::array kOpTable = {
-    // compute
-    make("nop", IssuePort::kCompute, LatencyClass::kAlu, false, false, false),
-    make("movi", IssuePort::kCompute, LatencyClass::kAlu, true, false, false),
-    make("mov", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
-    make("add", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("sub", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("mul", IssuePort::kCompute, LatencyClass::kMulDiv, true, true, true),
-    make("div", IssuePort::kCompute, LatencyClass::kMulDiv, true, true, true),
-    make("rem", IssuePort::kCompute, LatencyClass::kMulDiv, true, true, true),
-    make("and", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("or", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("xor", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("shl", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("shr", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("addi", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
-    make("muli", IssuePort::kCompute, LatencyClass::kMulDiv, true, true, false),
-    make("andi", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
-    make("ori", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
-    make("xori", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
-    make("shli", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
-    make("shri", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
-    make("slt", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("slti", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
-    make("seq", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
-    make("self", IssuePort::kCompute, LatencyClass::kAlu, true, false, false),
-    // control flow
-    make("beq", IssuePort::kCompute, LatencyClass::kBranch, false, true, true, true),
-    make("bne", IssuePort::kCompute, LatencyClass::kBranch, false, true, true, true),
-    make("blt", IssuePort::kCompute, LatencyClass::kBranch, false, true, true, true),
-    make("bge", IssuePort::kCompute, LatencyClass::kBranch, false, true, true, true),
-    make("jmp", IssuePort::kCompute, LatencyClass::kBranch, false, false, false, true),
-    // frame memory
-    make("load", IssuePort::kMemory, LatencyClass::kLocal, true, false, false),
-    make("store", IssuePort::kMemory, LatencyClass::kPosted, false, true, true),
-    make("loadx", IssuePort::kMemory, LatencyClass::kLocal, true, true, false),
-    make("storex", IssuePort::kMemory, LatencyClass::kPosted, false, true, true,
-         false, /*rd_rd=*/true),
-    // main memory
-    make("read", IssuePort::kMemory, LatencyClass::kDynamic, true, true, false),
-    make("write", IssuePort::kMemory, LatencyClass::kPosted, false, true, true),
-    // local store
-    make("lsload", IssuePort::kMemory, LatencyClass::kLocal, true, true, false),
-    make("lsstore", IssuePort::kMemory, LatencyClass::kPosted, false, true, true),
-    // thread management
-    make("falloc", IssuePort::kMemory, LatencyClass::kDynamic, true, false, false),
-    make("fallocn", IssuePort::kMemory, LatencyClass::kDynamic, true, true, false),
-    make("ffree", IssuePort::kMemory, LatencyClass::kControl, false, false, false),
-    make("stop", IssuePort::kControl, LatencyClass::kControl, false, false, false),
-    // DMA
-    make("dmaget", IssuePort::kMemory, LatencyClass::kPosted, false, true, false),
-    make("dmawait", IssuePort::kControl, LatencyClass::kControl, false, false, false),
-    make("regset", IssuePort::kCompute, LatencyClass::kAlu, false, true, false),
-    make("dmaput", IssuePort::kMemory, LatencyClass::kPosted, false, true, false),
-};
-
-static_assert(kOpTable.size() ==
-                  static_cast<std::size_t>(Opcode::kDmaPut) + 1,
-              "opcode table out of sync with Opcode enum");
-
-}  // namespace
-
-const OpInfo& op_info(Opcode op) {
-    const auto idx = static_cast<std::size_t>(op);
-    DTA_CHECK_MSG(idx < kOpTable.size(), "opcode out of range");
-    return kOpTable[idx];
-}
-
-std::string_view op_name(Opcode op) { return op_info(op).name; }
-
-std::size_t op_count() { return kOpTable.size(); }
 
 }  // namespace dta::isa

@@ -8,6 +8,8 @@
 /// DMA programming instructions of Table 3 (DMAGET/DMAWAIT).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -111,13 +113,91 @@ struct OpInfo {
     bool reads_rd = false;    ///< uses rd as a *source* (indexed STORE)
 };
 
-/// Returns the static description of \p op.
-[[nodiscard]] const OpInfo& op_info(Opcode op);
+namespace detail {
 
-/// Mnemonic of \p op.
+constexpr OpInfo make(std::string_view name, IssuePort port, LatencyClass lat,
+                      bool wr_rd, bool rd_ra, bool rd_rb, bool branch = false,
+                      bool rd_rd = false) {
+    return OpInfo{name, port, lat, wr_rd, rd_ra, rd_rb, branch, rd_rd};
+}
+
+// Order must match the Opcode enumeration exactly; verified below.
+inline constexpr std::array kOpTable = {
+    // compute
+    make("nop", IssuePort::kCompute, LatencyClass::kAlu, false, false, false),
+    make("movi", IssuePort::kCompute, LatencyClass::kAlu, true, false, false),
+    make("mov", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
+    make("add", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("sub", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("mul", IssuePort::kCompute, LatencyClass::kMulDiv, true, true, true),
+    make("div", IssuePort::kCompute, LatencyClass::kMulDiv, true, true, true),
+    make("rem", IssuePort::kCompute, LatencyClass::kMulDiv, true, true, true),
+    make("and", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("or", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("xor", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("shl", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("shr", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("addi", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
+    make("muli", IssuePort::kCompute, LatencyClass::kMulDiv, true, true, false),
+    make("andi", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
+    make("ori", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
+    make("xori", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
+    make("shli", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
+    make("shri", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
+    make("slt", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("slti", IssuePort::kCompute, LatencyClass::kAlu, true, true, false),
+    make("seq", IssuePort::kCompute, LatencyClass::kAlu, true, true, true),
+    make("self", IssuePort::kCompute, LatencyClass::kAlu, true, false, false),
+    // control flow
+    make("beq", IssuePort::kCompute, LatencyClass::kBranch, false, true, true, true),
+    make("bne", IssuePort::kCompute, LatencyClass::kBranch, false, true, true, true),
+    make("blt", IssuePort::kCompute, LatencyClass::kBranch, false, true, true, true),
+    make("bge", IssuePort::kCompute, LatencyClass::kBranch, false, true, true, true),
+    make("jmp", IssuePort::kCompute, LatencyClass::kBranch, false, false, false, true),
+    // frame memory
+    make("load", IssuePort::kMemory, LatencyClass::kLocal, true, false, false),
+    make("store", IssuePort::kMemory, LatencyClass::kPosted, false, true, true),
+    make("loadx", IssuePort::kMemory, LatencyClass::kLocal, true, true, false),
+    make("storex", IssuePort::kMemory, LatencyClass::kPosted, false, true, true,
+         false, /*rd_rd=*/true),
+    // main memory
+    make("read", IssuePort::kMemory, LatencyClass::kDynamic, true, true, false),
+    make("write", IssuePort::kMemory, LatencyClass::kPosted, false, true, true),
+    // local store
+    make("lsload", IssuePort::kMemory, LatencyClass::kLocal, true, true, false),
+    make("lsstore", IssuePort::kMemory, LatencyClass::kPosted, false, true, true),
+    // thread management
+    make("falloc", IssuePort::kMemory, LatencyClass::kDynamic, true, false, false),
+    make("fallocn", IssuePort::kMemory, LatencyClass::kDynamic, true, true, false),
+    make("ffree", IssuePort::kMemory, LatencyClass::kControl, false, false, false),
+    make("stop", IssuePort::kControl, LatencyClass::kControl, false, false, false),
+    // DMA
+    make("dmaget", IssuePort::kMemory, LatencyClass::kPosted, false, true, false),
+    make("dmawait", IssuePort::kControl, LatencyClass::kControl, false, false, false),
+    make("regset", IssuePort::kCompute, LatencyClass::kAlu, false, true, false),
+    make("dmaput", IssuePort::kMemory, LatencyClass::kPosted, false, true, false),
+};
+
+static_assert(kOpTable.size() ==
+                  static_cast<std::size_t>(Opcode::kDmaPut) + 1,
+              "opcode table out of sync with Opcode enum");
+
+}  // namespace detail
+
+/// Returns the static description of \p op.  Unchecked: \p op must be a
+/// declared enumerator.  validate_program() rejects any other opcode before
+/// a machine or interpreter reads this table, so the simulator's issue
+/// checks pay one array index.
+[[nodiscard]] constexpr const OpInfo& op_info(Opcode op) {
+    return detail::kOpTable[static_cast<std::size_t>(op)];
+}
+
+/// Mnemonic of \p op (range-checked: safe on unvalidated input).
 [[nodiscard]] std::string_view op_name(Opcode op);
 
-/// Total number of opcodes (for iteration in tests).
-[[nodiscard]] std::size_t op_count();
+/// Total number of opcodes (for iteration in tests and range checks).
+[[nodiscard]] constexpr std::size_t op_count() {
+    return detail::kOpTable.size();
+}
 
 }  // namespace dta::isa

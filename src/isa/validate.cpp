@@ -13,6 +13,34 @@ namespace {
                   std::to_string(ip) + ": " + why);
 }
 
+std::string opcode_out_of_range(const Instruction& ins) {
+    return "opcode " + std::to_string(static_cast<unsigned>(ins.op)) +
+           " out of range (the ISA has " + std::to_string(op_count()) +
+           " opcodes)";
+}
+
+/// Every later check (and the simulator's issue logic) reads OpInfo through
+/// the unchecked op_info(), so an opcode outside the table is rejected
+/// first — in the code and in every annotation's address code.
+void check_opcodes(const ThreadCode& tc) {
+    const auto out_of_range = [](const Instruction& ins) {
+        return static_cast<std::size_t>(ins.op) >= op_count();
+    };
+    for (std::uint32_t ip = 0; ip < tc.size(); ++ip) {
+        if (out_of_range(tc.code[ip])) {
+            fail(tc, ip, opcode_out_of_range(tc.code[ip]));
+        }
+    }
+    for (std::size_t i = 0; i < tc.annotations.size(); ++i) {
+        for (const Instruction& ins : tc.annotations[i].addr_code) {
+            if (out_of_range(ins)) {
+                DTA_SIM_ERROR("annotation " + std::to_string(i) + " of '" +
+                              tc.name + "': " + opcode_out_of_range(ins));
+            }
+        }
+    }
+}
+
 void check_registers(const ThreadCode& tc, std::uint32_t ip,
                      const Instruction& ins) {
     const OpInfo& oi = ins.info();
@@ -140,6 +168,7 @@ void validate_thread_code(const ThreadCode& tc) {
     if (n == 0) {
         DTA_SIM_ERROR("thread code '" + tc.name + "' is empty");
     }
+    check_opcodes(tc);
     if (!(tc.pl_begin <= tc.ex_begin && tc.ex_begin <= tc.ps_begin &&
           tc.ps_begin <= n)) {
         DTA_SIM_ERROR("thread code '" + tc.name +

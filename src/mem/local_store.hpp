@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -76,8 +77,32 @@ public:
 
     // --- timed access --------------------------------------------------------
     void enqueue(LsClient client, LsRequest req);
-    void tick(sim::Cycle now);
-    [[nodiscard]] bool pop_response(LsClient client, LsResponse& out);
+    /// Retires the accesses done by \p now, then services up to `ports`
+    /// queued requests round-robin.  A tick with nothing due — no request
+    /// queued, no in-flight access done by \p now — returns before touching
+    /// any state.  That is exact: a full idle tick walks the round-robin
+    /// cursor once around the clients back to where it started and changes
+    /// nothing else.
+    void tick(sim::Cycle now) {
+        if (!any_queued() &&
+            (in_flight_.empty() || in_flight_.front().done_at > now)) {
+            return;
+        }
+        service(now);
+    }
+    /// True when a completion for \p client waits to be popped.
+    [[nodiscard]] bool has_response(LsClient client) const {
+        return !responses_[static_cast<std::size_t>(client)].empty();
+    }
+    [[nodiscard]] bool pop_response(LsClient client, LsResponse& out) {
+        auto& q = responses_[static_cast<std::size_t>(client)];
+        if (q.empty()) {
+            return false;
+        }
+        out = std::move(q.front());
+        q.pop_front();
+        return true;
+    }
 
     [[nodiscard]] bool quiescent() const;
     [[nodiscard]] const LocalStoreConfig& config() const { return cfg_; }
@@ -86,10 +111,8 @@ public:
     /// top-level component): queued work is serviced every cycle, responses
     /// await the owner's next drain, in-flight accesses retire at done_at.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
-        for (const auto& q : queues_) {
-            if (!q.empty()) {
-                return now + 1;
-            }
+        if (any_queued()) {
+            return now + 1;
         }
         for (const auto& q : responses_) {
             if (!q.empty()) {
@@ -123,6 +146,16 @@ private:
     };
 
     void bounds_check(sim::LsAddr addr, std::uint64_t size) const;
+    [[nodiscard]] bool any_queued() const {
+        for (const auto& q : queues_) {
+            if (!q.empty()) {
+                return true;
+            }
+        }
+        return false;
+    }
+    /// The work of a tick that has something due (see tick()).
+    void service(sim::Cycle now);
 
     LocalStoreConfig cfg_;
     std::vector<std::uint8_t> bytes_;

@@ -1,7 +1,7 @@
 #include "sim/wheel.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 
 #include "sim/check.hpp"
 
@@ -208,7 +208,7 @@ void WheelScheduler::attach(const std::vector<Component*>& components) {
     comps_ = components;
     due_.assign(comps_.size(), kIdleForever);
     acct_.assign(comps_.size(), 0);
-    active_.reserve(comps_.size());
+    due_now_.assign((comps_.size() + 63) / 64, 0);
     scratch_.reserve(comps_.size());
 }
 
@@ -225,20 +225,6 @@ void WheelScheduler::start(Cycle now) {
     stats_.inserts += comps_.size();
     stats_.peak_occupancy = std::max(stats_.peak_occupancy, armed_);
     started_ = true;
-}
-
-void WheelScheduler::heap_push(std::uint32_t i) {
-    active_.push_back(i);
-    std::push_heap(active_.begin(), active_.end(),
-                   std::greater<std::uint32_t>());
-}
-
-std::uint32_t WheelScheduler::heap_pop() {
-    std::pop_heap(active_.begin(), active_.end(),
-                  std::greater<std::uint32_t>());
-    const std::uint32_t i = active_.back();
-    active_.pop_back();
-    return i;
 }
 
 void WheelScheduler::arm(std::uint32_t i, Cycle at) {
@@ -273,7 +259,7 @@ void WheelScheduler::wake(std::uint32_t component) {
             stats_.peak_occupancy = std::max(stats_.peak_occupancy, armed_);
         }
         due_[component] = at;
-        heap_push(component);
+        mark_due(component);
     } else {
         arm(component, at);
     }
@@ -303,7 +289,7 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
     wheel_.collect(at, scratch_);
     for (const std::uint32_t i : scratch_) {
         if (due_[i] == at) {
-            heap_push(i);
+            mark_due(i);  // a duplicate entry sets the same bit again
         }
         // due_[i] != at: a stale entry from a wake that re-armed earlier.
     }
@@ -314,11 +300,21 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
         t = t2;
     }
     std::uint32_t ticked = 0;
-    while (!active_.empty()) {
-        const std::uint32_t i = heap_pop();
-        if (due_[i] != at) {
-            continue;  // superseded while queued (double wake)
+    // Ascending scan over the due set.  A same-cycle wake only targets an
+    // index above the cursor, so it sets a bit in the current word (re-read
+    // after every visit) or a later one; the scan never looks back, and a
+    // component woken twice still has one bit.
+    std::size_t w = 0;
+    while (true) {
+        while (w < due_now_.size() && due_now_[w] == 0) {
+            ++w;
         }
+        if (w == due_now_.size()) {
+            break;
+        }
+        const auto i = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(due_now_[w])));
+        due_now_[w] &= due_now_[w] - 1;  // clears bit i, the lowest set
         cursor_ = i;
         Component* const c = comps_[i];
         if (acct_[i] < at) {

@@ -17,9 +17,11 @@
 ///    contract guarantees a sleeping component received no input inside the
 ///    span, so its state is frozen and skip() is bit-identical to ticking.
 ///  * Dense-order wakes.  Components are visited in ascending scheduler-
-///    list index within a cycle, the dense loop's relative order.  A push
-///    into a *later*-indexed component joins the current cycle (the dense
-///    loop would tick it after the producer this cycle); a push into an
+///    list index within a cycle, the dense loop's relative order: the due
+///    set of the cycle is a bitset over component indices, scanned upward.
+///    A push into a *later*-indexed component joins the current cycle (it
+///    sets a bit the scan has not reached yet, so the component is ticked
+///    after the producer, as in the dense loop); a push into an
 ///    earlier-indexed one arms it for the next cycle — exactly the
 ///    wrap-edge rule docs/ARCHITECTURE.md derives for the ring.
 ///  * Degradation to dense.  When nearly every component reports horizon
@@ -225,14 +227,16 @@ private:
     void enter_dense(Cycle at);
     void maybe_exit_dense(Cycle at);
     void arm(std::uint32_t i, Cycle at);
-    void heap_push(std::uint32_t i);
-    std::uint32_t heap_pop();
+    /// Adds component \p i to the current cycle's due set (idempotent).
+    void mark_due(std::uint32_t i) {
+        due_now_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
 
     std::vector<Component*> comps_;
     std::vector<Cycle> due_;   ///< scheduled visit; kIdleForever = unarmed
     std::vector<Cycle> acct_;  ///< next unaccounted cycle, per component
     TimingWheel wheel_;
-    std::vector<std::uint32_t> active_;   ///< min-heap: indices due at now_
+    std::vector<std::uint64_t> due_now_;  ///< bitset: indices due at now_
     std::vector<std::uint32_t> scratch_;  ///< collect() buffer
     std::uint64_t armed_ = 0;             ///< components with finite due_
 

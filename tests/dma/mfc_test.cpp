@@ -4,20 +4,26 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/audit.hpp"
 #include "sim/check.hpp"
 #include "sim/metrics.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dta::dma {
 namespace {
 
-/// Drives the MFC against a zero-latency fake memory until quiescent;
-/// returns the cycle the first completion appeared and collects line sizes.
+/// Drives the MFC against a zero-latency fake memory, collecting every
+/// emitted line (with the cycle it was picked up) and every completion.
 struct Harness {
     mem::LocalStore ls{mem::LocalStoreConfig{}};
     Mfc mfc;
     std::vector<std::uint8_t> memory;  // fake main memory backing
     std::vector<MfcLineRequest> lines_seen;
+    std::vector<sim::Cycle> line_cycles;  // parallel to lines_seen
     std::vector<MfcCompletion> completions;
+    std::vector<sim::Cycle> completion_cycles;  // parallel to completions
+    sim::Cycle next = 0;  // first cycle the next run() ticks
+    bool audit = false;   // run the MFC invariant audit after every tick
 
     explicit Harness(const MfcConfig& cfg = MfcConfig{})
         : mfc(cfg, ls), memory(1 << 20, 0) {
@@ -25,14 +31,23 @@ struct Harness {
             memory[i] = static_cast<std::uint8_t>(i * 7 + 1);
         }
     }
+    Harness(const Harness&) = delete;  // mfc refers to this harness's ls
+    Harness& operator=(const Harness&) = delete;
 
+    /// Ticks \p cycles more cycles, continuing from the last run().
     void run(sim::Cycle cycles) {
-        for (sim::Cycle now = 0; now < cycles; ++now) {
+        const std::string name = "mfc";
+        for (const sim::Cycle end = next + cycles; next < end; ++next) {
+            const sim::Cycle now = next;
             ls.tick(now);
             mfc.tick(now);
+            if (audit) {
+                mfc.audit(sim::AuditCtx(name, now));
+            }
             MfcLineRequest line;
             while (mfc.pop_line_request(line)) {
                 lines_seen.push_back(line);
+                line_cycles.push_back(now);
                 if (line.op == MfcOp::kGet) {
                     // Instant fake memory: return data next tick.
                     std::vector<std::uint8_t> data(
@@ -51,8 +66,24 @@ struct Harness {
             MfcCompletion comp;
             while (mfc.pop_completion(comp)) {
                 completions.push_back(comp);
+                completion_cycles.push_back(now);
             }
         }
+    }
+
+    /// Local store + MFC state, in the order a PE serialises them.
+    [[nodiscard]] std::vector<std::uint8_t> save() const {
+        sim::StateSink s;
+        ls.save_state(s);
+        mfc.save_state(s);
+        return s.data();
+    }
+    void load(const std::vector<std::uint8_t>& bytes, sim::Cycle resume_at) {
+        sim::StateSource s(bytes.data(), bytes.size());
+        ls.load_state(s);
+        mfc.load_state(s);
+        s.finish();
+        next = resume_at;
     }
 };
 
@@ -234,6 +265,124 @@ TEST(Mfc, MultiLinePutCompletesOnceAfterAllAcks) {
     EXPECT_EQ(h.mfc.commands_completed(), 1u);
     EXPECT_EQ(h.mfc.bytes_transferred(), 300u);
     EXPECT_TRUE(h.mfc.quiescent());
+}
+
+/// A single outstanding line: every line waits for the previous one.
+MfcConfig saturated_cfg() {
+    MfcConfig cfg;
+    cfg.max_outstanding_lines = 1;
+    return cfg;
+}
+
+/// Queues one contiguous GET (6 lines) then one strided GET (4 elements)
+/// and turns the per-tick audit on.
+void queue_saturating_pair(Harness& h) {
+    MfcCommand contiguous = get_cmd(128 * 6, 0x1000, 0x100);
+    contiguous.tag = 1;
+    MfcCommand strided = get_cmd(32, 0x3000, 0x800);
+    strided.tag = 2;
+    strided.stride = 128;
+    strided.elem_bytes = 8;
+    ASSERT_TRUE(h.mfc.try_enqueue(contiguous));
+    ASSERT_TRUE(h.mfc.try_enqueue(strided));
+    h.audit = true;
+}
+
+TEST(Mfc, SaturatedEmissionPinsEveryLineCycle) {
+    // Timeline with the instant fake memory: the contiguous command decodes
+    // in [0, 30) and the strided one in [30, 60).  A line picked up at t is
+    // written to the LS at t+1 and lands at t+7, which frees the single
+    // outstanding slot for the next line that same cycle.  The strided
+    // command is active from 60 but waits until the contiguous one (lower
+    // slot) has emitted its last line; it then emits once per round trip.
+    // After its last pickup (93) nothing is due until the data lands at
+    // 100 — the idle ticks in between take the MFC's early return.
+    Harness h(saturated_cfg());
+    queue_saturating_pair(h);
+    h.run(200);
+    const std::vector<sim::Cycle> want_cycles = {30, 37, 44, 51, 58,
+                                                 65, 72, 79, 86, 93};
+    ASSERT_EQ(h.line_cycles, want_cycles);
+    for (std::size_t i = 0; i < 6; ++i) {
+        EXPECT_EQ(h.lines_seen[i].mem_addr, 0x1000u + 128u * i) << i;
+        EXPECT_EQ(h.lines_seen[i].bytes, 128u) << i;
+    }
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(h.lines_seen[6 + i].mem_addr, 0x3000u + 128u * i) << i;
+        EXPECT_EQ(h.lines_seen[6 + i].bytes, 8u) << i;
+    }
+    ASSERT_EQ(h.completions.size(), 2u);
+    EXPECT_EQ(h.completions[0].tag, 1u);
+    EXPECT_EQ(h.completions[1].tag, 2u);
+    EXPECT_EQ(h.completion_cycles, (std::vector<sim::Cycle>{72, 100}));
+    EXPECT_TRUE(h.mfc.quiescent());
+}
+
+TEST(Mfc, SaturatedPutEmitsNextLineAfterEachAck) {
+    // A PUT line frees its outstanding slot in ack_put_line(), outside any
+    // tick, so the next tick has no decode, queue or LS response to react
+    // to: only the count of commands with lines left to emit makes it emit
+    // the next line.  Each line: LS read queued at t, serviced at t+1,
+    // payload ready at t+7 (picked up and acked), next line emitted at t+8.
+    Harness h(saturated_cfg());
+    MfcCommand put;
+    put.op = MfcOp::kPut;
+    put.tag = 6;
+    put.mem_addr = 0x5000;
+    put.ls_addr = 0x100;
+    put.bytes = 300;  // 128 + 128 + 44
+    ASSERT_TRUE(h.mfc.try_enqueue(put));
+    h.audit = true;
+    h.run(100);
+    EXPECT_EQ(h.line_cycles, (std::vector<sim::Cycle>{37, 45, 53}));
+    EXPECT_EQ(h.completion_cycles, (std::vector<sim::Cycle>{53}));
+    EXPECT_TRUE(h.mfc.quiescent());
+}
+
+TEST(Mfc, SnapshotMidEmissionResumesWithSameLinesAndCycles) {
+    Harness straight(saturated_cfg());
+    queue_saturating_pair(straight);
+    straight.run(200);
+    // Cuts inside the first decode, mid-contiguous, while the strided
+    // command waits for the slot, mid-strided, and in the final idle wait.
+    for (const sim::Cycle cut : {12u, 47u, 62u, 80u, 96u}) {
+        Harness first(saturated_cfg());
+        queue_saturating_pair(first);
+        first.run(cut);
+        const std::vector<std::uint8_t> snap = first.save();
+
+        Harness resumed(saturated_cfg());
+        resumed.audit = true;
+        resumed.load(snap, cut);
+        EXPECT_TRUE(resumed.save() == snap) << "cut " << cut;
+        resumed.mfc.audit(sim::AuditCtx("mfc", cut));
+        resumed.run(200 - cut);
+
+        // Everything picked up after the cut matches the straight run.
+        const std::size_t before = first.lines_seen.size();
+        ASSERT_EQ(before + resumed.lines_seen.size(),
+                  straight.lines_seen.size())
+            << "cut " << cut;
+        for (std::size_t i = 0; i < resumed.lines_seen.size(); ++i) {
+            const MfcLineRequest& got = resumed.lines_seen[i];
+            const MfcLineRequest& want = straight.lines_seen[before + i];
+            EXPECT_EQ(got.line_id, want.line_id) << "cut " << cut;
+            EXPECT_EQ(got.mem_addr, want.mem_addr) << "cut " << cut;
+            EXPECT_EQ(resumed.line_cycles[i], straight.line_cycles[before + i])
+                << "cut " << cut;
+        }
+        const std::size_t done = first.completions.size();
+        ASSERT_EQ(done + resumed.completions.size(),
+                  straight.completions.size())
+            << "cut " << cut;
+        for (std::size_t i = 0; i < resumed.completions.size(); ++i) {
+            EXPECT_EQ(resumed.completions[i].tag,
+                      straight.completions[done + i].tag);
+            EXPECT_EQ(resumed.completion_cycles[i],
+                      straight.completion_cycles[done + i]);
+        }
+        EXPECT_TRUE(resumed.mfc.quiescent());
+    }
 }
 
 TEST(Mfc, MetricsCountersMatchPublicStats) {

@@ -183,6 +183,37 @@ TEST(Validate, RejectsAnnotationWithBranchInAddrCode) {
     EXPECT_THROW(validate_thread_code(tc), sim::SimError);
 }
 
+TEST(Validate, RejectsOpcodeOutOfRange) {
+    // op_info() is an unchecked table index, so the validator must reject a
+    // stray opcode before any check reads OpInfo — with one clean line.
+    for (const std::size_t raw : {op_count(), std::size_t{0xff}}) {
+        Program prog;
+        prog.name = "p";
+        prog.codes.push_back(minimal_ok());
+        prog.codes[0].code[1].op = static_cast<Opcode>(raw);
+        try {
+            validate_program(prog);
+            ADD_FAILURE() << "opcode " << raw << " accepted";
+        } catch (const sim::SimError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("opcode " + std::to_string(raw) +
+                                " out of range"),
+                      std::string::npos)
+                << what;
+            EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+        }
+    }
+    // The same holds inside an annotation's address code.
+    ThreadCode tc = minimal_ok();
+    RegionAnnotation ann;
+    ann.bytes = 4;
+    Instruction bad;
+    bad.op = static_cast<Opcode>(op_count());
+    ann.addr_code.push_back(bad);
+    tc.annotations.push_back(ann);
+    EXPECT_THROW(validate_thread_code(tc), sim::SimError);
+}
+
 TEST(Validate, ProgramRejectsBadEntry) {
     Program prog;
     prog.name = "p";

@@ -109,6 +109,62 @@ TEST(LocalStore, RoundRobinIsFairAcrossClients) {
     EXPECT_EQ(ls.accesses(LsClient::kMfc), 1u);
 }
 
+TEST(LocalStore, IdleTicksKeepRoundRobinState) {
+    // Bursts from all three clients separated by idle cycles, one port.
+    // The idle ticks take tick()'s early return; the order each burst is
+    // served in depends on the round-robin cursor the previous burst left
+    // behind, so any drift of that state across idle ticks changes it.
+    LocalStoreConfig cfg;
+    cfg.ports = 1;
+    LocalStore ls(cfg);
+    struct Done {
+        LsClient client;
+        std::uint64_t id;
+        sim::Cycle at;
+        bool operator==(const Done&) const = default;
+    };
+    std::vector<Done> done;
+    const auto run_to = [&](sim::Cycle from, sim::Cycle to) {
+        for (sim::Cycle now = from; now < to; ++now) {
+            ls.tick(now);
+            for (const LsClient c :
+                 {LsClient::kSpu, LsClient::kLse, LsClient::kMfc}) {
+                LsResponse r;
+                while (ls.pop_response(c, r)) {
+                    done.push_back({c, r.id, now});
+                }
+            }
+        }
+    };
+    ls.enqueue(LsClient::kSpu, read_req(1, 0));  // served at 0: cursor -> LSE
+    run_to(0, 10);
+    ls.enqueue(LsClient::kMfc, read_req(30, 8));
+    ls.enqueue(LsClient::kSpu, read_req(10, 0));
+    ls.enqueue(LsClient::kLse, read_req(20, 4));
+    run_to(10, 30);  // LSE, MFC, SPU: cursor ends on LSE again
+    ls.enqueue(LsClient::kMfc, read_req(31, 8));
+    ls.enqueue(LsClient::kMfc, read_req(32, 12));
+    ls.enqueue(LsClient::kSpu, read_req(11, 0));
+    run_to(30, 50);  // LSE empty -> MFC, SPU, MFC
+
+    const std::vector<Done> want = {
+        {LsClient::kSpu, 1, 6},   {LsClient::kLse, 20, 16},
+        {LsClient::kMfc, 30, 17}, {LsClient::kSpu, 10, 18},
+        {LsClient::kMfc, 31, 36}, {LsClient::kSpu, 11, 37},
+        {LsClient::kMfc, 32, 38},
+    };
+    ASSERT_EQ(done.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(done[i] == want[i])
+            << "completion " << i << ": client "
+            << static_cast<int>(done[i].client) << " id " << done[i].id
+            << " at " << done[i].at;
+    }
+    // Cycles 10, 11, 30 and 31 served one request with more still queued.
+    EXPECT_EQ(ls.contended_cycles(), 4u);
+    EXPECT_TRUE(ls.quiescent());
+}
+
 TEST(LocalStore, TimedWriteAppliesPayload) {
     LocalStore ls(LocalStoreConfig{});
     LsRequest rq;
