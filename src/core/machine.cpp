@@ -143,10 +143,10 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     for (sim::GlobalPeId id = 0; id < cfg_.total_pes(); ++id) {
         pes_.push_back(std::make_unique<Pe>(cfg_, topo_, id, prog_, decoded_,
                                              logger_));
-        // Parking is the PE's own cheap idle shortcut; under the wheel the
-        // scheduler makes it moot (a parked PE simply is not visited), but
-        // degraded dense stretches still take the parked fast path.
-        pes_.back()->set_parking(fast_forward_ || use_wheel_);
+        // Parking is the PE's own cheap idle shortcut for the dense loop.
+        // Under the wheel a parked PE is never visited before its horizon,
+        // so parking would only compute next_activity twice per quiet tick.
+        pes_.back()->set_parking(fast_forward_ && !use_wheel_);
         if (cfg_.capture_spans) {
             // Sharded machines write spans into shard-local vectors (no
             // cross-thread sharing); run_sharded() merges them back into
@@ -1102,10 +1102,15 @@ void Machine::sample_gauges(sim::Cycle now) {
 }
 
 bool Machine::check_quiescent() const {
-    for (const sim::Component* c : components_) {
-        if (!c->quiescent()) {
+    // Start at the last witness: in a busy stretch the component that was
+    // not quiescent last cycle usually still is, so the sweep stops at once.
+    const std::size_t n = components_.size();
+    for (std::size_t k = 0, i = quiet_witness_; k < n; ++k) {
+        if (!components_[i]->quiescent()) {
+            quiet_witness_ = i;
             return false;
         }
+        i = i + 1 == n ? 0 : i + 1;
     }
     return true;
 }
@@ -1415,7 +1420,7 @@ RunResult Machine::run_wheel() {
                 throw_deadlock(now, now - last_progress, false);
             }
         }
-        if (!wheel_.dense_mode() && wheel_.idle()) {
+        if (wheel_.idle()) {
             // Every horizon came back kIdleForever with the machine still
             // non-quiescent: certain deadlock.  The dense loop scans
             // horizons only once its fingerprint freezes, so it reports one
@@ -1423,7 +1428,7 @@ RunResult Machine::run_wheel() {
             // that for byte-identical failure text.
             throw_deadlock(fp == prev_fp ? now : now + 1, 0, true);
         }
-        sim::Cycle next = wheel_.next_due(now);
+        sim::Cycle next = wheel_.next_due();
         next = std::min<sim::Cycle>(next, cfg_.max_cycles);
         next = std::min(next, next_cut(now));
         if (next > now + 1) {

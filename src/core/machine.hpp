@@ -283,6 +283,8 @@ private:
     /// run completes): frame supply back at the DSEs, remote-store
     /// conservation across the NoC, drained engines and fabrics.
     void register_final_checks();
+    /// True when every component is quiescent.  The sweep starts at the
+    /// component that was not quiescent last time (quiet_witness_).
     [[nodiscard]] bool check_quiescent() const;
     /// Activity fingerprint for no-progress (deadlock) detection.
     [[nodiscard]] std::uint64_t fingerprint() const;
@@ -357,6 +359,9 @@ private:
     /// Scheduler order: fabrics, DSEs, memif, PEs, routers — the exact
     /// dependency order of the seed's hand-rolled tick_cycle.
     std::vector<sim::Component*> components_;
+    /// Index into components_ of the last non-quiescent component seen by
+    /// check_quiescent() (a search hint; never changes a result).
+    mutable std::size_t quiet_witness_ = 0;
     sim::Cycle skipped_ = 0;
     /// Event-driven scheduler for the single-threaded loop (sharded runs
     /// carry one per Shard instead, so wakes never cross host threads).

@@ -63,12 +63,12 @@ public:
     /// PEs share no intra-cycle state, so fusing the three seed phases
     /// per-PE is cycle-equivalent to the seed's three machine-wide loops.
     ///
-    /// A stalled PE *parks*: after a quiet cycle it computes its own
-    /// next_activity() once and, until that horizon expires or a packet
-    /// arrives in its inbox, each tick reduces to the one-cycle skip()
-    /// bookkeeping.  This is the per-component analogue of the machine's
-    /// idle-cycle fast-forward and relies on the same horizon contract, so
-    /// it is only enabled alongside it (see set_parking()).
+    /// Under the dense loop a stalled PE *parks*: after a quiet cycle it
+    /// computes its own next_activity() once and, until that horizon
+    /// expires or a packet arrives in its inbox, each tick reduces to the
+    /// one-cycle skip() bookkeeping.  This is the per-component analogue of
+    /// the machine's idle-cycle fast-forward and relies on the same horizon
+    /// contract (see set_parking()).
     void tick(sim::Cycle now) override {
         if (now < park_until_ && inbox_.empty()) {
             skip(now, now + 1);
@@ -86,8 +86,10 @@ public:
         }
     }
 
-    /// Enables the parked fast path (Machine turns it off together with
-    /// fast-forward so DTA_NO_FASTFORWARD stays a pure per-cycle reference).
+    /// Enables the parked fast path.  Parking serves only the dense loop
+    /// with fast-forward on: DTA_NO_FASTFORWARD keeps that loop a pure
+    /// per-cycle reference, and the wheel never visits a PE before its
+    /// horizon, so there parking would only repeat next_activity().
     void set_parking(bool on) {
         parking_ = on;
         park_until_ = 0;

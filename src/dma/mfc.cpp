@@ -236,7 +236,7 @@ void Mfc::advance(sim::Cycle now) {
                 line.mem_addr = cmd.mem_addr + ls_delta;
             }
             line.bytes = i_bytes;
-            line.data = std::move(resp.data);
+            line.data.assign(resp.data.begin(), resp.data.end());
             ready_lines_.push_back(std::move(line));
             // A PUT line is not finished here: it completes only when
             // memory acknowledges it (ack_put_line), which is where the

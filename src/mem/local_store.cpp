@@ -9,13 +9,28 @@ namespace dta::mem {
 
 namespace {
 
+// A payload is a u64 byte count followed by the bytes.
+void save_payload(sim::StateSink& s, const LsPayload& p) {
+    s.u64(p.size());
+    s.blob(p.data(), p.size());
+}
+
+void load_payload(sim::StateSource& s, LsPayload& p) {
+    const std::uint64_t n = s.u64();
+    DTA_SIM_REQUIRE(n <= s.remaining(),
+                    "snapshot section truncated (wanted " + std::to_string(n) +
+                        " payload bytes, " + std::to_string(s.remaining()) +
+                        " left)");
+    p.resize(static_cast<std::size_t>(n));
+    s.blob(p.data(), p.size());
+}
+
 void save_ls_request(sim::StateSink& s, const LsRequest& r) {
     s.u64(r.id);
     s.flag(r.is_write);
     s.u32(r.addr);
     s.u32(r.size);
-    sim::save_seq(s, r.data,
-                  [](sim::StateSink& k, std::uint8_t b) { k.u8(b); });
+    save_payload(s, r.data);
     s.u64(r.meta);
 }
 
@@ -24,8 +39,7 @@ void load_ls_request(sim::StateSource& s, LsRequest& r) {
     r.is_write = s.flag();
     r.addr = s.u32();
     r.size = s.u32();
-    sim::load_seq(s, r.data,
-                  [](sim::StateSource& k, std::uint8_t& b) { b = k.u8(); });
+    load_payload(s, r.data);
     r.meta = s.u64();
 }
 
@@ -97,8 +111,7 @@ void LocalStore::enqueue(LsClient client, LsRequest req) {
 void LocalStore::service(sim::Cycle now) {
     // Retire completed accesses (FIFO service + fixed latency => FIFO done).
     while (!in_flight_.empty() && in_flight_.front().done_at <= now) {
-        InFlight fl = std::move(in_flight_.front());
-        in_flight_.pop_front();
+        const InFlight& fl = in_flight_.front();
         LsResponse resp;
         resp.id = fl.req.id;
         resp.is_write = fl.req.is_write;
@@ -112,6 +125,7 @@ void LocalStore::service(sim::Cycle now) {
         }
         responses_[static_cast<std::size_t>(fl.client)].push_back(
             std::move(resp));
+        in_flight_.pop_front();
     }
 
     // Service up to `ports` queued requests, round-robin across clients.
@@ -120,19 +134,18 @@ void LocalStore::service(sim::Cycle now) {
     while (used < cfg_.ports && tried < kNumLsClients) {
         auto& q = queues_[rr_next_];
         if (q.empty()) {
-            rr_next_ = (rr_next_ + 1) % kNumLsClients;
+            rr_next_ = next_client(rr_next_);
             ++tried;
             continue;
         }
         in_flight_.push_back(InFlight{now + cfg_.latency,
                                       static_cast<LsClient>(rr_next_),
-                                      std::move(q.front())});
-        q.pop_front();
+                                      q.take_front()});
         ++served_[rr_next_];
         ++used;
         // After taking one request, move on so one client cannot hog all
         // ports while others wait.
-        rr_next_ = (rr_next_ + 1) % kNumLsClients;
+        rr_next_ = next_client(rr_next_);
         tried = 0;
     }
     if (used == cfg_.ports) {
@@ -160,8 +173,7 @@ void LocalStore::save_state(sim::StateSink& s) const {
             k.u64(r.id);
             k.flag(r.is_write);
             k.u32(r.addr);
-            sim::save_seq(k, r.data,
-                          [](sim::StateSink& j, std::uint8_t b) { j.u8(b); });
+            save_payload(k, r.data);
             k.u64(r.meta);
         });
     }
@@ -187,10 +199,7 @@ void LocalStore::load_state(sim::StateSource& s) {
             r.id = k.u64();
             r.is_write = k.flag();
             r.addr = k.u32();
-            sim::load_seq(k, r.data,
-                          [](sim::StateSource& j, std::uint8_t& b) {
-                              b = j.u8();
-                          });
+            load_payload(k, r.data);
             r.meta = k.u64();
         });
     }

@@ -12,13 +12,18 @@
 /// round-robin arbitration across clients, up to `ports` per cycle.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <cstring>
+#include <initializer_list>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
 namespace dta::sim {
@@ -43,13 +48,98 @@ struct LocalStoreConfig {
     std::uint32_t max_request_bytes = 128;  ///< DMA writes one line per request
 };
 
+/// The bytes of one local-store access, with the slice of the
+/// `std::vector<std::uint8_t>` interface the data path uses.  Payloads of
+/// up to kInline bytes (every SPU access and every LSE frame write) live
+/// inline, so building, queueing and retiring them never allocates; larger
+/// ones (DMA lines) go to the heap.  Snapshots write size() and the bytes,
+/// whichever the representation.
+class LsPayload {
+public:
+    static constexpr std::size_t kInline = 8;
+
+    LsPayload() = default;
+    LsPayload(const LsPayload& o) { assign(o.begin(), o.end()); }
+    LsPayload& operator=(const LsPayload& o) {
+        if (this != &o) {
+            assign(o.begin(), o.end());
+        }
+        return *this;
+    }
+    /// Moves leave the source empty, as a moved-from vector is.
+    LsPayload(LsPayload&& o) noexcept
+        : size_(std::exchange(o.size_, 0)),
+          inline_(o.inline_),
+          heap_(std::move(o.heap_)) {}
+    LsPayload& operator=(LsPayload&& o) noexcept {
+        size_ = std::exchange(o.size_, 0);
+        inline_ = o.inline_;
+        heap_ = std::move(o.heap_);
+        return *this;
+    }
+    LsPayload& operator=(std::initializer_list<std::uint8_t> bytes) {
+        assign(bytes.begin(), bytes.end());
+        return *this;
+    }
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] std::uint8_t* data() {
+        return size_ <= kInline ? inline_.data() : heap_.get();
+    }
+    [[nodiscard]] const std::uint8_t* data() const {
+        return size_ <= kInline ? inline_.data() : heap_.get();
+    }
+    [[nodiscard]] std::uint8_t* begin() { return data(); }
+    [[nodiscard]] std::uint8_t* end() { return data() + size_; }
+    [[nodiscard]] const std::uint8_t* begin() const { return data(); }
+    [[nodiscard]] const std::uint8_t* end() const { return data() + size_; }
+    [[nodiscard]] std::uint8_t& operator[](std::size_t i) { return data()[i]; }
+    [[nodiscard]] std::uint8_t operator[](std::size_t i) const {
+        return data()[i];
+    }
+
+    /// Like vector::resize: keeps the first min(n, size()) bytes and
+    /// zero-fills the rest.
+    void resize(std::size_t n) {
+        if (n > kInline) {
+            if (n != size_) {
+                auto next = std::make_unique<std::uint8_t[]>(n);
+                std::memcpy(next.get(), data(), std::min(n, size_));
+                heap_ = std::move(next);
+            }
+        } else if (size_ > kInline) {
+            std::memcpy(inline_.data(), heap_.get(), n);
+            heap_.reset();
+        } else if (n > size_) {
+            std::fill(inline_.begin() + size_, inline_.begin() + n, 0);
+        }
+        size_ = n;
+    }
+    void assign(std::size_t n, std::uint8_t b) {
+        resize(0);
+        resize(n);
+        std::fill(begin(), end(), b);
+    }
+    template <std::forward_iterator It>
+    void assign(It first, It last) {
+        resize(0);
+        resize(static_cast<std::size_t>(std::distance(first, last)));
+        std::copy(first, last, begin());
+    }
+
+private:
+    std::size_t size_ = 0;
+    std::array<std::uint8_t, kInline> inline_{};
+    std::unique_ptr<std::uint8_t[]> heap_;  ///< used only when size_ > kInline
+};
+
 /// A timed request against the local store.
 struct LsRequest {
     std::uint64_t id = 0;
     bool is_write = false;
     sim::LsAddr addr = 0;
     std::uint32_t size = 4;
-    std::vector<std::uint8_t> data;  ///< payload for writes
+    LsPayload data;  ///< payload for writes
     std::uint64_t meta = 0;
 };
 
@@ -58,7 +148,7 @@ struct LsResponse {
     std::uint64_t id = 0;
     bool is_write = false;
     sim::LsAddr addr = 0;
-    std::vector<std::uint8_t> data;  ///< filled for reads
+    LsPayload data;  ///< filled for reads
     std::uint64_t meta = 0;
 };
 
@@ -99,8 +189,7 @@ public:
         if (q.empty()) {
             return false;
         }
-        out = std::move(q.front());
-        q.pop_front();
+        out = q.take_front();
         return true;
     }
 
@@ -146,6 +235,10 @@ private:
     };
 
     void bounds_check(sim::LsAddr addr, std::uint64_t size) const;
+    /// The round-robin successor of client index \p i.
+    [[nodiscard]] static std::size_t next_client(std::size_t i) {
+        return i + 1 == kNumLsClients ? 0 : i + 1;
+    }
     [[nodiscard]] bool any_queued() const {
         for (const auto& q : queues_) {
             if (!q.empty()) {
@@ -159,9 +252,9 @@ private:
 
     LocalStoreConfig cfg_;
     std::vector<std::uint8_t> bytes_;
-    std::array<std::deque<LsRequest>, kNumLsClients> queues_;
-    std::deque<InFlight> in_flight_;
-    std::array<std::deque<LsResponse>, kNumLsClients> responses_;
+    std::array<sim::Fifo<LsRequest>, kNumLsClients> queues_;
+    sim::Fifo<InFlight> in_flight_;
+    std::array<sim::Fifo<LsResponse>, kNumLsClients> responses_;
     std::size_t rr_next_ = 0;  ///< round-robin arbitration cursor
     std::array<std::uint64_t, kNumLsClients> served_{};
     std::uint64_t contended_ = 0;

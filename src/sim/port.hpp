@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "sim/check.hpp"
+#include "sim/fifo.hpp"
 
 namespace dta::sim {
 
@@ -38,7 +38,8 @@ class Waker {
 
 /// An unbounded FIFO with exactly one consumer (its owner). Producers may
 /// be many; ordering is push order, which the machine's fixed component
-/// order makes deterministic.
+/// order makes deterministic.  The queue is a `Fifo<T>` ring, so a port
+/// at its working depth pushes and pops without allocating.
 template <typename T>
 class Port {
  public:
@@ -61,8 +62,7 @@ class Port {
         if (q_.empty()) {
             return false;
         }
-        out = std::move(q_.front());
-        q_.pop_front();
+        out = q_.take_front();
         return true;
     }
 
@@ -91,7 +91,7 @@ class Port {
     }
 
  private:
-    std::deque<T> q_;
+    Fifo<T> q_;
     Waker* waker_ = nullptr;
     std::uint32_t waker_comp_ = 0;
 };

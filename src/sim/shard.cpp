@@ -50,9 +50,8 @@ void Shard::enable_wheel(std::vector<std::uint32_t> inbound_consumers) {
 Cycle Shard::lookahead_hint() const {
     Cycle h = kIdleForever;
     if (!paused_ && !stuck_) {
-        h = wheel_ != nullptr && wheel_->started() && !wheel_->dense_mode()
-                ? wheel_->next_due(acct_next_)
-                : acct_next_;
+        h = wheel_ != nullptr && wheel_->started() ? wheel_->next_due()
+                                                   : acct_next_;
     }
     for (const ChannelBase* ch : inbound_) {
         Cycle d = 0;
@@ -115,7 +114,7 @@ void Shard::run_until_wheel(Cycle bound) {
     }
     while (!paused_ && acct_next_ < bound) {
         const Cycle now = acct_next_;
-        if (!sched.dense_mode() && sched.idle()) {
+        if (sched.idle()) {
             // Every horizon is kIdleForever: locally indistinguishable from
             // machine-wide deadlock (another shard may owe us a packet), so
             // flag it and coast to the barrier; the coordinator decides.
@@ -126,7 +125,7 @@ void Shard::run_until_wheel(Cycle bound) {
             }
             break;
         }
-        const Cycle due = sched.dense_mode() ? now : sched.next_due(now);
+        const Cycle due = sched.next_due();
         DTA_CHECK_MSG(due >= now, "wheel entry behind the shard clock");
         if (due > now) {
             wheel_span(now, std::min(due, bound));

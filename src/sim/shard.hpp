@@ -95,7 +95,7 @@ public:
 
     /// Earliest cycle at which this shard could next act, as visible at the
     /// epoch barrier: the wheel's earliest entry (the shard's own clock
-    /// under the dense loop or degraded dense mode), folded with the oldest
+    /// under the dense loop), folded with the oldest
     /// inbound-channel drain stamp; kIdleForever when paused or stuck.  The
     /// coordinator takes the minimum over shards to stretch the next epoch
     /// bound across globally-idle stretches (sim/epoch.cpp).

@@ -15,7 +15,6 @@ void WheelStats::merge_from(const WheelStats& o, std::uint32_t shard) {
     wakes += o.wakes;
     active_cycles += o.active_cycles;
     dense_cycles += o.dense_cycles;
-    dense_entries += o.dense_entries;
     peak_occupancy = std::max(peak_occupancy, o.peak_occupancy);
     for (Sample s : o.samples) {
         s.shard = shard;
@@ -209,6 +208,7 @@ void WheelScheduler::attach(const std::vector<Component*>& components) {
     due_.assign(comps_.size(), kIdleForever);
     acct_.assign(comps_.size(), 0);
     due_now_.assign((comps_.size() + 63) / 64, 0);
+    lane_.assign(due_now_.size(), 0);
     scratch_.reserve(comps_.size());
 }
 
@@ -221,6 +221,7 @@ void WheelScheduler::start(Cycle now) {
         wheel_.insert(now, i);
     }
     armed_ = comps_.size();
+    now_ = now;
     stats_.enabled = true;
     stats_.inserts += comps_.size();
     stats_.peak_occupancy = std::max(stats_.peak_occupancy, armed_);
@@ -233,13 +234,19 @@ void WheelScheduler::arm(std::uint32_t i, Cycle at) {
         stats_.peak_occupancy = std::max(stats_.peak_occupancy, armed_);
     }
     due_[i] = at;
-    wheel_.insert(at, i);
     ++stats_.inserts;
+    if (at == now_ + 1) {
+        lane_at_ = at;
+        lane_live_ = true;
+        set_bit(lane_, i);
+    } else {
+        wheel_.insert(at, i);
+    }
 }
 
 void WheelScheduler::wake(std::uint32_t component) {
-    if (!started_ || dense_) {
-        return;  // pre-run launch() pushes; dense mode visits everyone anyway
+    if (!started_) {
+        return;  // pre-run launch() pushes; start() arms everyone anyway
     }
     // Dense-order rule: while cycle now_ is in flight, a consumer with a
     // higher list index than the producer under the cursor has not been
@@ -259,16 +266,13 @@ void WheelScheduler::wake(std::uint32_t component) {
             stats_.peak_occupancy = std::max(stats_.peak_occupancy, armed_);
         }
         due_[component] = at;
-        mark_due(component);
+        set_bit(due_now_, component);
     } else {
         arm(component, at);
     }
 }
 
 void WheelScheduler::wake_at(std::uint32_t component, Cycle at) {
-    if (dense_) {
-        return;
-    }
     if (due_[component] <= at) {
         return;
     }
@@ -278,10 +282,27 @@ void WheelScheduler::wake_at(std::uint32_t component, Cycle at) {
     arm(component, at);
 }
 
+void WheelScheduler::drain_lane(Cycle at) {
+    // The run loop never passes next_due(), which is the lane's cycle while
+    // the lane holds a bit.
+    DTA_CHECK_MSG(lane_at_ == at, "wheel lane skipped");
+    for (std::size_t w = 0; w < lane_.size(); ++w) {
+        for (std::uint64_t bits = lane_[w]; bits != 0; bits &= bits - 1) {
+            const auto i = static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+            if (due_[i] == at) {  // the filter stale calendar entries get
+                set_bit(due_now_, i);
+            }
+        }
+        lane_[w] = 0;
+    }
+    lane_live_ = false;
+}
+
 std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
                                         std::uint64_t& t) {
-    if (dense_) {
-        return run_dense_cycle(at, pb, t);
+    if (lane_live_) {
+        drain_lane(at);
     }
     now_ = at;
     in_cycle_ = true;
@@ -289,7 +310,7 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
     wheel_.collect(at, scratch_);
     for (const std::uint32_t i : scratch_) {
         if (due_[i] == at) {
-            mark_due(i);  // a duplicate entry sets the same bit again
+            set_bit(due_now_, i);  // a duplicate entry sets the same bit
         }
         // due_[i] != at: a stale entry from a wake that re-armed earlier.
     }
@@ -350,81 +371,7 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
     if (ticked > 0) {
         ++stats_.active_cycles;
     }
-    // Degradation hysteresis: a machine where most components are due on
-    // consecutive cycles pays more for pop/re-arm than it saves.
-    const bool hot = static_cast<std::size_t>(ticked) * 2 >= comps_.size();
-    if (hot && last_cycle_ != kCycleNever && at == last_cycle_ + 1) {
-        if (++hot_streak_ >= kDenseEnterStreak) {
-            enter_dense(at);
-        }
-    } else {
-        hot_streak_ = hot ? 1 : 0;
-    }
-    last_cycle_ = at;
     return ticked;
-}
-
-std::uint32_t WheelScheduler::run_dense_cycle(Cycle at, ProfBuffer* pb,
-                                              std::uint64_t& t) {
-    for (std::uint32_t i = 0; i < comps_.size(); ++i) {
-        comps_[i]->tick(at);
-        acct_[i] = at + 1;
-        if (pb != nullptr) {
-            const std::uint64_t t2 = prof_now_ns();
-            pb->add(i + 1, ProfPhase::kTick,
-                    t2 - t - pb->take_orphan_child_ns());
-            t = t2;
-        }
-    }
-    ++stats_.dense_cycles;
-    last_cycle_ = at;
-    if ((at - dense_since_) % kDenseExitPeriod == kDenseExitPeriod - 1) {
-        maybe_exit_dense(at);
-    }
-    return static_cast<std::uint32_t>(comps_.size());
-}
-
-void WheelScheduler::enter_dense(Cycle at) {
-    // Cycle `at` is fully processed; bring every sleeper's accounting up to
-    // at + 1 so dense ticking can proceed uniformly from the next cycle.
-    for (std::uint32_t i = 0; i < comps_.size(); ++i) {
-        if (acct_[i] < at + 1) {
-            comps_[i]->skip(acct_[i], at + 1);
-            acct_[i] = at + 1;
-        }
-    }
-    dense_ = true;
-    dense_since_ = at + 1;
-    hot_streak_ = 0;
-    ++stats_.dense_entries;
-}
-
-void WheelScheduler::maybe_exit_dense(Cycle at) {
-    // Exit when well under half the machine wants the very next cycle.
-    // Pending input is covered: a component with queued work reports
-    // now + 1 itself (the horizon contract), so rebuilding purely from
-    // horizons cannot strand a queue.
-    std::size_t busy = 0;
-    for (const Component* c : comps_) {
-        if (c->next_activity(at) == at + 1) {
-            ++busy;
-        }
-    }
-    if (busy * 4 >= comps_.size()) {
-        return;
-    }
-    wheel_.reset(at + 1);
-    armed_ = 0;
-    for (std::uint32_t i = 0; i < comps_.size(); ++i) {
-        const Cycle h = comps_[i]->next_activity(at);
-        due_[i] = kIdleForever;
-        if (h != kIdleForever) {
-            arm(i, h);
-        }
-    }
-    dense_ = false;
-    hot_streak_ = 0;
-    last_cycle_ = at;
 }
 
 void WheelScheduler::catch_up(Cycle to) {

@@ -24,13 +24,13 @@
 ///    after the producer, as in the dense loop); a push into an
 ///    earlier-indexed one arms it for the next cycle — exactly the
 ///    wrap-edge rule docs/ARCHITECTURE.md derives for the ring.
-///  * Degradation to dense.  When nearly every component reports horizon
-///    now+1 (a fully busy machine), per-cycle pop/re-arm is pure overhead:
-///    after kDenseEnterStreak consecutive such cycles the scheduler flips
-///    to plain dense ticking, and re-evaluates every kDenseExitPeriod
-///    cycles — horizons are a pure function of simulated state, so the mode
-///    switches are deterministic and (by the skip ≡ tick contract) both
-///    modes produce identical results.
+///  * Next-cycle lane.  Most re-arms of a busy machine land at exactly
+///    now+1 (73% on the paper's mmul(32)/pf).  Those set a bit in a second
+///    bitset, the lane, instead of going through the calendar; run_cycle()
+///    drains the lane into the due set before it collects the calendar
+///    slot, with the same `due_[i] == at` filter that stale calendar
+///    entries get.  A fully busy machine therefore costs one bit flip per
+///    component per cycle, and no separate dense mode is needed.
 ///
 /// The wheel itself is a 2-level calendar: 256 one-cycle L0 slots, 256
 /// 256-cycle L1 slots (64Ki-cycle span), and an overflow list.  Entries are
@@ -62,8 +62,9 @@ struct WheelStats {
     std::uint64_t rearms = 0;   ///< post-tick next_activity() reschedules
     std::uint64_t wakes = 0;    ///< inbound-traffic wakes that re-armed
     std::uint64_t active_cycles = 0;   ///< cycles with >= 1 due component
-    std::uint64_t dense_cycles = 0;    ///< cycles run in degraded dense mode
-    std::uint64_t dense_entries = 0;   ///< wheel -> dense transitions
+    /// Always 0: the scheduler no longer degrades to dense ticking.  Kept
+    /// because perfbench reports it as `sim.dense_cycles`.
+    std::uint64_t dense_cycles = 0;
     std::uint64_t peak_occupancy = 0;  ///< most components armed at once
 
     /// One point of the Perfetto "wheel" counter track, captured at the
@@ -113,8 +114,7 @@ public:
     /// over all entries is always a live one.
     [[nodiscard]] Cycle next_due() const;
 
-    /// Drops every entry and repositions the wheel at \p at (dense-mode
-    /// exit rebuilds from fresh horizons).
+    /// Drops every entry and repositions the wheel at \p at.
     void reset(Cycle at);
 
     [[nodiscard]] std::size_t entries() const { return entries_; }
@@ -161,11 +161,9 @@ public:
     void start(Cycle now);
 
     [[nodiscard]] bool started() const { return started_; }
-    [[nodiscard]] bool dense_mode() const { return dense_; }
 
     /// No component is armed at any finite cycle: every horizon came back
-    /// kIdleForever.  (Not meaningful in dense mode, which visits everyone
-    /// regardless.)  This is exactly the condition under which the dense
+    /// kIdleForever.  This is exactly the condition under which the dense
     /// loop's horizon scan declares idle-forever deadlock — checked on
     /// armed_ rather than the wheel's entry count because lazily-deleted
     /// ghosts can keep the wheel non-empty after the last live entry died.
@@ -175,19 +173,20 @@ public:
     /// occupancy feed; same counter the sample() series records).
     [[nodiscard]] std::uint64_t armed() const { return armed_; }
 
-    /// Earliest cycle at which any component is scheduled, given the run
-    /// loop just finished cycle \p now; now + 1 in dense mode.  May name a
-    /// cycle whose entries are all stale (the visit then pops nothing and
-    /// the loop advances) — never later than the true earliest live entry.
-    [[nodiscard]] Cycle next_due(Cycle now) const {
-        return dense_ ? now + 1 : wheel_.next_due();
+    /// Earliest cycle at which any component is scheduled: the lane's
+    /// cycle while the lane holds a bit, else the calendar's earliest
+    /// entry.  May name a cycle whose entries are all stale (the visit then
+    /// pops nothing and the loop advances) — never later than the true
+    /// earliest live entry.
+    [[nodiscard]] Cycle next_due() const {
+        return lane_live_ ? lane_at_ : wheel_.next_due();
     }
 
     /// Runs one cycle: visits every component due at \p at in ascending
     /// list index (catch-up skip, tick, re-arm), folding in same-cycle
-    /// wakes.  In dense mode ticks the whole list instead.  Returns the
-    /// number of components ticked.  \p pb / \p t thread the run loop's
-    /// chained profiling timer through (null pb disables).
+    /// wakes.  Returns the number of components ticked.  \p pb / \p t
+    /// thread the run loop's chained profiling timer through (null pb
+    /// disables).
     std::uint32_t run_cycle(Cycle at, ProfBuffer* pb, std::uint64_t& t);
 
     /// Bulk-accounts [acct_i, to) on every component lagging behind \p to —
@@ -218,36 +217,29 @@ public:
 
 private:
     static constexpr std::uint32_t kNoCursor = 0xffffffffu;
-    /// Consecutive fully-busy cycles before degrading to dense ticking.
-    static constexpr std::uint32_t kDenseEnterStreak = 8;
-    /// Dense-mode horizon re-evaluation period (cycles).
-    static constexpr Cycle kDenseExitPeriod = 64;
 
-    std::uint32_t run_dense_cycle(Cycle at, ProfBuffer* pb, std::uint64_t& t);
-    void enter_dense(Cycle at);
-    void maybe_exit_dense(Cycle at);
     void arm(std::uint32_t i, Cycle at);
-    /// Adds component \p i to the current cycle's due set (idempotent).
-    void mark_due(std::uint32_t i) {
-        due_now_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    static void set_bit(std::vector<std::uint64_t>& bits, std::uint32_t i) {
+        bits[i >> 6] |= std::uint64_t{1} << (i & 63);
     }
+    /// Moves the lane's live bits (due_[i] == at) into the due set.
+    void drain_lane(Cycle at);
 
     std::vector<Component*> comps_;
     std::vector<Cycle> due_;   ///< scheduled visit; kIdleForever = unarmed
     std::vector<Cycle> acct_;  ///< next unaccounted cycle, per component
     TimingWheel wheel_;
     std::vector<std::uint64_t> due_now_;  ///< bitset: indices due at now_
+    std::vector<std::uint64_t> lane_;     ///< bitset: indices armed at lane_at_
+    bool lane_live_ = false;              ///< lane_ holds a bit
+    Cycle lane_at_ = 0;                   ///< the lane's cycle: now_ + 1
     std::vector<std::uint32_t> scratch_;  ///< collect() buffer
     std::uint64_t armed_ = 0;             ///< components with finite due_
 
     bool started_ = false;
-    bool dense_ = false;
     bool in_cycle_ = false;
     Cycle now_ = 0;                   ///< cycle being (or last) processed
-    Cycle last_cycle_ = kCycleNever;  ///< previous run_cycle argument
     std::uint32_t cursor_ = kNoCursor;  ///< component being ticked
-    std::uint32_t hot_streak_ = 0;    ///< consecutive fully-busy cycles
-    Cycle dense_since_ = 0;           ///< cycle dense mode was entered
     ProfBuffer* pb_ = nullptr;        ///< wake-path kWheelInsert charges
 
     WheelStats stats_;

@@ -269,7 +269,6 @@ std::string run_report_json(const core::RunResult& r,
            << ", \"wakes\": " << w.wakes
            << ", \"active_cycles\": " << w.active_cycles
            << ", \"dense_cycles\": " << w.dense_cycles
-           << ", \"dense_entries\": " << w.dense_entries
            << ", \"peak_occupancy\": " << w.peak_occupancy << "}},\n";
     }
 
