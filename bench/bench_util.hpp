@@ -55,19 +55,15 @@ inline std::uint32_t arg_u32(int argc, char** argv, const char* flag,
     return fallback;
 }
 
-/// Machine-shape overrides shared by every bench main: `--nodes N` spreads
-/// the workload's PEs over N nodes (0 keeps the workload's default shape)
-/// and `--threads N` picks the host-thread count for the sharded run loop
-/// (1 = single-threaded reference; results are bit-identical either way).
+/// Machine-shape override shared by every bench main: `--nodes N` spreads
+/// the workload's PEs over N nodes (0 keeps the workload's default shape).
 struct Shape {
     std::uint16_t nodes = 0;
-    std::uint32_t threads = 1;
 };
 
 inline Shape shape_from_args(int argc, char** argv) {
     Shape s;
     s.nodes = static_cast<std::uint16_t>(arg_u32(argc, argv, "--nodes", 0));
-    s.threads = arg_u32(argc, argv, "--threads", 1);
     return s;
 }
 
@@ -81,7 +77,6 @@ inline core::MachineConfig shaped(core::MachineConfig cfg, const Shape& s) {
         cfg.nodes = s.nodes;
         cfg.spes_per_node = static_cast<std::uint16_t>(total / s.nodes);
     }
-    cfg.host_threads = s.threads;
     return cfg;
 }
 
@@ -150,58 +145,11 @@ workloads::RunOutcome run_reported(const W& wl, const core::MachineConfig& cfg,
     return out;
 }
 
-/// run_reported under a machine shape.  With `--threads N > 1` the run is
-/// timed twice — single-threaded reference first, then with N host threads
-/// — and the sharded run's JSON document gains "host_threads" and
-/// "speedup_vs_1thread" fields (the reference run is emitted too, tagged
-/// host_threads 1).  The two runs' cycle counts are cross-checked: sharding
-/// must not change results.
+/// run_reported under a machine shape.
 template <typename W>
 workloads::RunOutcome run_shaped(const W& wl, const core::MachineConfig& base,
                                  const Shape& shape, bool prefetch) {
-    if (shape.nodes == 0 && shape.threads <= 1) {
-        return run_reported(wl, base, prefetch);
-    }
-    Shape ref = shape;
-    ref.threads = 1;
-    const workloads::RunOutcome one = run_reported(
-        wl, shaped(base, ref), prefetch, "\"host_threads\":1");
-    if (shape.threads <= 1) {
-        return one;
-    }
-    core::MachineConfig run_cfg = shaped(base, shape);
-    run_cfg.collect_events |= bench_events_prefix() != nullptr;
-    workloads::RunOutcome out =
-        workloads::run_workload(wl, run_cfg, prefetch);
-    const std::string& label =
-        prefetch ? wl.prefetch_program().name : wl.program().name;
-    const double speedup =
-        out.host_seconds > 0.0 ? one.host_seconds / out.host_seconds : 0.0;
-    std::fprintf(stderr,
-                 "[bench] %-24s %10llu cycles  %7.3f s host  "
-                 "%10llu fast-forwarded  (%u threads, %.2fx vs 1)\n",
-                 label.c_str(),
-                 static_cast<unsigned long long>(out.result.cycles),
-                 out.host_seconds,
-                 static_cast<unsigned long long>(out.cycles_fast_forwarded),
-                 shape.threads, speedup);
-    if (out.result.cycles != one.result.cycles) {
-        std::fprintf(stderr,
-                     "WARNING: %s: sharded run diverged from the "
-                     "single-threaded reference (%llu vs %llu cycles)\n",
-                     label.c_str(),
-                     static_cast<unsigned long long>(out.result.cycles),
-                     static_cast<unsigned long long>(one.result.cycles));
-    }
-    char extra[96];
-    std::snprintf(extra, sizeof extra,
-                  "\"host_threads\":%u,\"speedup_vs_1thread\":%.3f",
-                  shape.threads, speedup);
-    maybe_emit_json(out.result, label, extra);
-    // The sharded log is byte-identical to the reference run's by design,
-    // so re-writing the same path is harmless.
-    maybe_emit_events(out.result, run_cfg, label);
-    return out;
+    return run_reported(wl, shaped(base, shape), prefetch);
 }
 
 /// A run that may legitimately deadlock (frame-starvation ablations).
@@ -253,7 +201,7 @@ int guarded_main(Fn&& body, const char* argv0) {
         std::fprintf(stderr, "%s: error: %s\n", argv0, e.what());
         std::fprintf(stderr,
                      "hint: check the workload/machine parameters "
-                     "(--iterations, --nodes, --threads)\n");
+                     "(--iterations, --nodes)\n");
         return 1;
     } catch (const sim::CheckError& e) {
         std::fprintf(stderr,

@@ -3,13 +3,9 @@
 ///        on CellDTA with eight SPUs and memory latency 150, (a) without
 ///        and (b) with prefetching, for bitcnt(10000), mmul(32), zoom(32).
 ///
-/// Usage: fig5_breakdown [--iterations N] [--nodes N] [--threads N]
+/// Usage: fig5_breakdown [--iterations N] [--nodes N]
 ///   --iterations   bitcnt iterations (default 10000, the paper's)
 ///   --nodes        spread the 8 PEs over N nodes (default: single node)
-///   --threads      host threads for the sharded run loop; with N > 1 each
-///                  run is timed against the single-threaded reference and
-///                  the DTA_BENCH_JSON documents gain host_threads and
-///                  speedup_vs_1thread fields
 
 #include <cstdio>
 

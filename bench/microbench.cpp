@@ -229,8 +229,10 @@ void BM_WheelSchedulerPopRearm(benchmark::State& state) {
     std::vector<std::unique_ptr<StrideComponent>> owners;
     std::vector<sim::Component*> comps;
     for (int i = 0; i < 64; ++i) {
+        std::string name(1, 'c');
+        name += std::to_string(i);
         owners.push_back(std::make_unique<StrideComponent>(
-            "c" + std::to_string(i), 1 + (i * 7) % 13));
+            std::move(name), 1 + (i * 7) % 13));
         comps.push_back(owners.back().get());
     }
     for (auto _ : state) {
@@ -259,7 +261,7 @@ class MixComponent final : public sim::Component {
 public:
     MixComponent(std::uint32_t id, sim::WheelScheduler* sched,
                  std::vector<std::uint32_t>* sleepers)
-        : sim::Component("m" + std::to_string(id)),
+        : sim::Component(std::string(1, 'm') += std::to_string(id)),
           id_(id),
           rng_(0x9e3779b97f4a7c15ull * (id + 1)),
           sched_(sched),

@@ -102,7 +102,7 @@ struct MachineConfig {
     /// a snapshot may be replayed with telemetry turned on.
     sim::TelemetryConfig telemetry;
     /// Host-time profiler (sim/prof.hpp): attribute host nanoseconds per
-    /// (shard, component, phase) into RunResult::host_profile.  Off by
+    /// (component, phase) into RunResult::host_profile.  Off by
     /// default; when off every instrumentation site costs one null check.
     /// Profiling only reads the host clock — simulated results, fingerprints
     /// and the rest of RunResult are byte-identical either way.
@@ -119,14 +119,11 @@ struct MachineConfig {
     /// differential oracle for tests and fuzzing).  The DTA_NO_WHEEL
     /// environment variable force-disables it, mirroring DTA_NO_FASTFORWARD.
     bool use_wheel = true;
-    /// Host threads for the sharded run loop: each node (DSE, PEs, MFCs,
-    /// local stores, router) is a shard, and shards are distributed over
-    /// this many threads synchronised by an epoch barrier whose lookahead
-    /// is the inter-node link latency (see docs/ARCHITECTURE.md).  0 means
-    /// auto (hardware_concurrency); the effective count is capped at the
-    /// node count.  1 (the default) runs the single-threaded reference
-    /// loop.  RunResult, breakdown buckets, and the JSON report are
-    /// bit-identical for every value.
+    /// Retired: a machine always runs on one host thread, and host
+    /// parallelism comes from running independent jobs at once (serve's
+    /// worker pool).  1 is the only valid value; the Machine constructor
+    /// rejects any other with a SimError.  Kept only until the benchmark
+    /// harness stops assigning it.
     std::uint32_t host_threads = 1;
 
     [[nodiscard]] std::uint32_t total_pes() const {

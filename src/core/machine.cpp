@@ -4,12 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "isa/validate.hpp"
 #include "sim/check.hpp"
-#include "sim/epoch.hpp"
 #include "sim/snapshot.hpp"
 
 namespace dta::core {
@@ -70,6 +68,11 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
       mem_(cfg_.memory) {
     DTA_SIM_REQUIRE(cfg_.nodes > 0 && cfg_.spes_per_node > 0,
                     "machine needs at least one node and one SPE");
+    DTA_SIM_REQUIRE(cfg_.host_threads == 1,
+                    "MachineConfig::host_threads must be 1 (got " +
+                        std::to_string(cfg_.host_threads) +
+                        "): a machine runs on one host thread; run "
+                        "independent jobs in parallel instead");
     isa::validate_program(prog_);
     decoded_ = isa::predecode(prog_);
     // FALLOC requests carry the code id in 16 wire bits (the upper bits of
@@ -91,36 +94,6 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     fast_forward_ =
         cfg_.fast_forward && std::getenv("DTA_NO_FASTFORWARD") == nullptr;
     use_wheel_ = cfg_.use_wheel && std::getenv("DTA_NO_WHEEL") == nullptr;
-
-    // Resolve the host-thread request into a shard count: one shard is a
-    // whole node (its DSE, PEs, MFCs, local stores and router), so the
-    // useful parallelism is capped at the node count; shards get contiguous
-    // node ranges so the intra-node fabric and most ring edges stay
-    // thread-local.  shard_count_ == 1 selects the single-threaded
-    // reference loop (bit-identical results either way).
-    std::uint32_t requested = cfg_.host_threads == 0
-                                  ? std::thread::hardware_concurrency()
-                                  : cfg_.host_threads;
-    if (requested == 0) {
-        requested = 1;
-    }
-    shard_count_ = std::min<std::uint32_t>(requested, cfg_.nodes);
-    node_shard_.resize(cfg_.nodes, 0);
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-        for (std::uint16_t n = first_node_of(s); n < first_node_of(s + 1);
-             ++n) {
-            node_shard_[n] = static_cast<std::uint16_t>(s);
-        }
-    }
-    if (shard_count_ > 1) {
-        // Shard-local sinks, sized up front: components keep pointers into
-        // these for the machine's lifetime.
-        shard_metrics_.resize(shard_count_);
-        shard_spans_.resize(shard_count_);
-        shard_dma_spans_.resize(shard_count_);
-        shard_gauges_.resize(shard_count_);
-        shard_events_.resize(shard_count_);
-    }
 
     // Containers that components keep pointers into are sized up front so
     // the port bindings below stay valid.
@@ -148,13 +121,7 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
         // so parking would only compute next_activity twice per quiet tick.
         pes_.back()->set_parking(fast_forward_ && !use_wheel_);
         if (cfg_.capture_spans) {
-            // Sharded machines write spans into shard-local vectors (no
-            // cross-thread sharing); run_sharded() merges them back into
-            // spans_ in the single-threaded push order.
-            pes_.back()->set_span_sink(
-                shard_count_ > 1
-                    ? &shard_spans_[node_shard_[id / cfg_.spes_per_node]]
-                    : &spans_);
+            pes_.back()->set_span_sink(&spans_);
         }
     }
     memif_ = std::make_unique<MemInterface>(mem_);
@@ -214,97 +181,50 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     }
 
     if (cfg_.collect_events) {
-        // Each emitter writes into its owning shard's private log (the
-        // whole machine shares events_ in single-threaded mode);
-        // run_sharded() concatenates and canonicalizes at the end.  Router
-        // ordinals live above the PE id range so the two never collide.
-        for (sim::GlobalPeId id = 0; id < cfg_.total_pes(); ++id) {
-            sim::EventLog& log =
-                shard_count_ > 1
-                    ? shard_events_[node_shard_[id / cfg_.spes_per_node]]
-                    : events_;
-            pes_[id]->attach_events(&log);
+        // Router ordinals live above the PE id range so the two never
+        // collide.
+        for (auto& pe : pes_) {
+            pe->attach_events(&events_);
         }
         for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
-            sim::EventLog& log =
-                shard_count_ > 1 ? shard_events_[node_shard_[n]] : events_;
-            routers_[n]->attach_events(&log, cfg_.total_pes() + n);
+            routers_[n]->attach_events(&events_, cfg_.total_pes() + n);
         }
     }
 
     if (cfg_.collect_metrics) {
         DTA_SIM_REQUIRE(cfg_.metrics_sample_interval > 0,
                         "metrics_sample_interval must be non-zero");
-        if (shard_count_ > 1) {
-            // Each shard gets a private registry over its own components;
-            // run_sharded() merges them into metrics_ (counters add,
-            // histograms merge, gauges sum point-wise — all
-            // order-independent, so the merged registry is bit-identical
-            // to one shared registry).
-            for (std::uint32_t s = 0; s < shard_count_; ++s) {
-                sim::MetricsRegistry& reg = shard_metrics_[s];
-                ShardGauges& g = shard_gauges_[s];
-                reg.enable();
-                for (std::uint16_t n = first_node_of(s);
-                     n < first_node_of(s + 1); ++n) {
-                    for (std::uint16_t l = 0; l < cfg_.spes_per_node; ++l) {
-                        pes_[topo_.global_pe(n, l)]->attach_metrics(
-                            reg, &shard_dma_spans_[s]);
-                    }
-                    fabrics_[n].attach_metrics(reg);
-                    g.noc_pending.push_back(
-                        reg.gauge("noc" + std::to_string(n) + ".pending"));
-                    dses_[n].attach_metrics(reg);
-                }
-                g.dma_cmds = reg.gauge("dma.commands_in_flight");
-                g.dma_lines = reg.gauge("dma.lines_in_flight");
-                if (node_shard_[kMemoryNode] == s) {
-                    g.mem_queue = reg.gauge("mem.queue_depth");
-                }
-            }
-        } else {
-            metrics_.enable();
-            for (auto& pe : pes_) {
-                pe->attach_metrics(metrics_, &dma_spans_);
-            }
-            g_noc_pending_.reserve(fabrics_.size());
-            for (std::size_t n = 0; n < fabrics_.size(); ++n) {
-                fabrics_[n].attach_metrics(metrics_);
-                g_noc_pending_.push_back(
-                    metrics_.gauge("noc" + std::to_string(n) + ".pending"));
-            }
-            for (auto& dse : dses_) {
-                dse.attach_metrics(metrics_);
-            }
-            g_dma_cmds_ = metrics_.gauge("dma.commands_in_flight");
-            g_dma_lines_ = metrics_.gauge("dma.lines_in_flight");
-            g_mem_queue_ = metrics_.gauge("mem.queue_depth");
+        metrics_.enable();
+        for (auto& pe : pes_) {
+            pe->attach_metrics(metrics_, &dma_spans_);
         }
+        g_noc_pending_.reserve(fabrics_.size());
+        for (std::size_t n = 0; n < fabrics_.size(); ++n) {
+            fabrics_[n].attach_metrics(metrics_);
+            g_noc_pending_.push_back(
+                metrics_.gauge("noc" + std::to_string(n) + ".pending"));
+        }
+        for (auto& dse : dses_) {
+            dse.attach_metrics(metrics_);
+        }
+        g_dma_cmds_ = metrics_.gauge("dma.commands_in_flight");
+        g_dma_lines_ = metrics_.gauge("dma.lines_in_flight");
+        g_mem_queue_ = metrics_.gauge("mem.queue_depth");
     }
 
     if (cfg_.audit.enabled) {
         audit_interval_ = cfg_.audit.effective_interval();
-        // The machine-wide auditor carries every per-component check plus
-        // the final quiescence checks; the single-threaded loop sweeps it
-        // at audit_interval_, and both loops run it once more at the end.
-        register_audit_checks(auditor_, 0, cfg_.nodes);
+        // The auditor carries every per-component check plus the final
+        // quiescence checks; the run loops sweep it at audit_interval_ and
+        // run the final checks once at the end.
+        register_audit_checks();
         register_final_checks();
-        if (shard_count_ > 1) {
-            // Mid-run each shard audits only its own components (a check
-            // must not read another shard's state from this thread); the
-            // machine-wide pass runs after the join.
-            shard_auditors_.resize(shard_count_);
-            for (std::uint32_t s = 0; s < shard_count_; ++s) {
-                register_audit_checks(shard_auditors_[s], first_node_of(s),
-                                      first_node_of(s + 1));
-            }
-        }
     }
 
     if (cfg_.telemetry.enabled) {
         telemetry_ = std::make_unique<sim::TelemetrySampler>(cfg_.telemetry);
         telemetry_->set_stall_info([this](sim::TelemetryStall& s) {
-            s.components = non_quiescent_names(s.cycle);
+            s.components = non_quiescent_names();
             if (!last_ckpt_path_.empty()) {
                 s.replay = replay_hint_ + " --restore " + last_ckpt_path_;
             }
@@ -312,105 +232,35 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     }
 
     if (cfg_.profile) {
-        // One buffer per shard, sized once: shards, links and routers keep
-        // pointers into prof_ for the machine's lifetime.
-        prof_.resize(shard_count_);
-        if (shard_count_ == 1) {
-            prof_[0].reset(components_.size());
-        }
-    }
-
-    if (shard_count_ > 1) {
-        // Ring edges that cross a shard boundary exchange packets through
-        // SPSC channels instead of a direct port push.  Capacity covers the
-        // worst burst a free-running sender can stage before the receiver's
-        // next drain (a handful of epochs of back-to-back serialisations);
-        // overflow is a wiring bug, not backpressure, and trips a check.
-        const std::size_t cap =
-            static_cast<std::size_t>(4 * epoch_length() + 64);
-        for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
-            const auto m = static_cast<std::uint16_t>((n + 1) % cfg_.nodes);
-            if (node_shard_[n] == node_shard_[m]) {
-                continue;
-            }
-            channels_.push_back(
-                std::make_unique<sim::SpscChannel<noc::Packet>>(cap));
-            // The wrap edge (receiver node < sender node) drains one cycle
-            // later than the stamped delivery: in the single-threaded
-            // schedule routers tick in node order, so a forward-edge
-            // delivery is forwarded the same cycle but a wrap-edge one only
-            // on the next (see docs/ARCHITECTURE.md).
-            links_[n].attach_channel(channels_.back().get(), m < n ? 1 : 0);
-            routers_[m]->set_inbound_channel(channels_.back().get());
-            if (cfg_.profile) {
-                // Serialisation is charged to the sending shard (the link
-                // ticks inside its node's router), draining to the
-                // receiving one; both sites sit inside a component tick and
-                // are subtracted from it via the orphan-child mechanism.
-                links_[n].set_prof(&prof_[node_shard_[n]]);
-                routers_[m]->set_prof(&prof_[node_shard_[m]]);
-            }
-        }
-        build_shards();
+        prof_.reset(components_.size());
     }
 
     if (use_wheel_) {
-        // Event-driven core: one scheduler per run loop.  When the wheel is
-        // off (--no-wheel / DTA_NO_WHEEL) no waker is ever bound, so the
-        // dense oracle pays nothing and behaves exactly as before.
-        if (shard_count_ > 1) {
-            // Each inbound cross-shard channel re-arms its consuming router
-            // at the entry of every epoch window (Shard::run_until); map
-            // each channel to that router's shard-local scheduler index, in
-            // the same edge order build_shards used.
-            std::vector<std::vector<std::uint32_t>> consumers(shard_count_);
-            for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
-                const auto m = static_cast<std::uint16_t>((n + 1) % cfg_.nodes);
-                if (node_shard_[n] == node_shard_[m]) {
-                    continue;
-                }
-                const std::uint16_t s = node_shard_[m];
-                const auto& comps = shards_[s]->components();
-                std::uint32_t idx = 0;
-                while (idx < comps.size() && comps[idx] != routers_[m].get()) {
-                    ++idx;
-                }
-                DTA_CHECK_MSG(idx < comps.size(),
-                              "inbound channel consumer not in its shard");
-                consumers[s].push_back(idx);
-            }
-            for (std::uint32_t s = 0; s < shard_count_; ++s) {
-                shards_[s]->enable_wheel(std::move(consumers[s]));
-                attach_wakers(*shards_[s]->wheel(), shards_[s]->components(),
-                              first_node_of(s), first_node_of(s + 1));
-            }
-        } else {
-            wheel_.attach(components_);
-            if (cfg_.profile) {
-                wheel_.set_prof(&prof_[0]);
-            }
-            attach_wakers(wheel_, components_, 0, cfg_.nodes);
-        }
+        // Event-driven core.  When the wheel is off (--no-wheel /
+        // DTA_NO_WHEEL) no waker is ever bound, so the dense oracle pays
+        // nothing and behaves exactly as before.
+        wheel_.attach(components_);
+        wheel_.set_prof(prof_buffer());
+        attach_wakers();
     }
 }
 
-void Machine::attach_wakers(sim::WheelScheduler& sched,
-                            const std::vector<sim::Component*>& comps,
-                            std::uint16_t node_lo, std::uint16_t node_hi) {
-    const auto index_of = [&comps](const sim::Component* c) {
-        for (std::uint32_t i = 0; i < comps.size(); ++i) {
-            if (comps[i] == c) {
+void Machine::attach_wakers() {
+    const auto index_of = [this](const sim::Component* c) {
+        for (std::uint32_t i = 0; i < components_.size(); ++i) {
+            if (components_[i] == c) {
                 return i;
             }
         }
-        DTA_CHECK_MSG(false, "wake target not on this scheduler's list");
+        DTA_CHECK_MSG(false, "wake target not on the scheduler list");
         return 0u;  // unreachable
     };
+    sim::WheelScheduler& sched = wheel_;
     // Every queue a component drains wakes that component when written; the
     // scheduler's dense-order rule decides whether the wake joins the
     // producer's cycle (producer index below consumer index — the dense
     // loop would tick the consumer later the same cycle) or the next one.
-    for (std::uint16_t n = node_lo; n < node_hi; ++n) {
+    for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
         const std::uint32_t router_idx = index_of(routers_[n].get());
         fabrics_[n].set_waker(&sched, index_of(&fabrics_[n]));
         dses_[n].rx_port().set_waker(&sched, index_of(&dses_[n]));
@@ -431,95 +281,11 @@ void Machine::attach_wakers(sim::WheelScheduler& sched,
     }
 }
 
-void Machine::build_shards() {
-    // Per-shard inbound channel lists, in the same edge order the channels
-    // were created.
-    std::vector<std::vector<sim::ChannelBase*>> inbound(shard_count_);
-    std::size_t ci = 0;
-    for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
-        const auto m = static_cast<std::uint16_t>((n + 1) % cfg_.nodes);
-        if (node_shard_[n] == node_shard_[m]) {
-            continue;
-        }
-        inbound[node_shard_[m]].push_back(channels_[ci++].get());
-    }
-    shards_.reserve(shard_count_);
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-        const std::uint16_t lo = first_node_of(s);
-        const std::uint16_t hi = first_node_of(s + 1);
-        const std::uint32_t pe_lo =
-            static_cast<std::uint32_t>(lo) * cfg_.spes_per_node;
-        const std::uint32_t pe_hi =
-            static_cast<std::uint32_t>(hi) * cfg_.spes_per_node;
-        // Shard-local scheduler list in the same relative order as the
-        // global components_ list (fabrics, DSEs, memif, PEs, routers).
-        std::vector<sim::Component*> comps;
-        for (std::uint16_t n = lo; n < hi; ++n) {
-            comps.push_back(&fabrics_[n]);
-        }
-        for (std::uint16_t n = lo; n < hi; ++n) {
-            comps.push_back(&dses_[n]);
-        }
-        if (node_shard_[kMemoryNode] == s) {
-            comps.push_back(memif_.get());
-        }
-        for (std::uint32_t id = pe_lo; id < pe_hi; ++id) {
-            comps.push_back(pes_[id].get());
-        }
-        for (std::uint16_t n = lo; n < hi; ++n) {
-            comps.push_back(routers_[n].get());
-        }
-        sim::Shard::Hooks hooks;
-        hooks.fast_forward = fast_forward_;
-        if (cfg_.profile) {
-            prof_[s].reset(comps.size());
-            hooks.prof = &prof_[s];
-        }
-        hooks.fingerprint = [this, s, lo, hi, pe_lo, pe_hi] {
-            std::uint64_t fp = 0;
-            if (node_shard_[kMemoryNode] == s) {
-                fp += mem_.reads_served() + mem_.writes_served();
-            }
-            for (std::uint16_t n = lo; n < hi; ++n) {
-                fp += fabrics_[n].stats().packets_delivered;
-            }
-            for (std::uint32_t id = pe_lo; id < pe_hi; ++id) {
-                fp += pes_[id]->issue_slots_used() +
-                      pes_[id]->lse().stats().dispatches;
-            }
-            return fp;
-        };
-        if (cfg_.collect_metrics) {
-            hooks.sample = [this, s](sim::Cycle now) {
-                sample_shard_gauges(s, now);
-            };
-            hooks.sample_interval = cfg_.metrics_sample_interval;
-        }
-        if (cfg_.audit.enabled) {
-            hooks.audit = [this, s](sim::Cycle now) {
-                shard_auditors_[s].run(now);
-            };
-            hooks.audit_interval = audit_interval_;
-        }
-        if (s == 0) {
-            // Shard 0 is driven by the calling thread; its epoch-entry hook
-            // carries the user-visible progress heartbeat (scoped to shard
-            // 0's PEs — cross-shard state is off limits mid-run).
-            hooks.progress = [this, pe_lo, pe_hi](sim::Cycle now) {
-                report_progress(now, pe_lo, pe_hi);
-            };
-        }
-        shards_.push_back(std::make_unique<sim::Shard>(
-            "shard" + std::to_string(s), std::move(comps),
-            std::move(inbound[s]), std::move(hooks)));
-    }
-}
-
-void Machine::register_audit_checks(sim::Auditor& a, std::uint16_t node_lo,
-                                    std::uint16_t node_hi) {
+void Machine::register_audit_checks() {
+    sim::Auditor& a = auditor_;
     const std::uint32_t frames = cfg_.lse.frames;
     const bool vf = cfg_.lse.virtual_frames;
-    for (std::uint16_t n = node_lo; n < node_hi; ++n) {
+    for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
         noc::Interconnect* fab = &fabrics_[n];
         a.add(fab->name(),
               [fab](const sim::AuditCtx& ctx) { fab->audit(ctx); });
@@ -708,7 +474,6 @@ void load_dma_span(sim::StateSource& s, dma::DmaSpan& d) {
 }  // namespace
 
 void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
-                            std::uint32_t shard_count,
                             const isa::Program& prog) {
     // Structural knobs only: everything that shapes what the machine *is*
     // (and therefore the snapshot's section layout and semantics).  Observer
@@ -763,10 +528,6 @@ void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
     s.flag(cfg.collect_metrics);
     s.u32(cfg.metrics_sample_interval);
     s.flag(cfg.collect_events);
-    // The *resolved* shard count, not the raw host_threads request:
-    // host_threads == 0 resolves per host, and only the resolved count
-    // changes the schedule.
-    s.u32(shard_count);
     // Program digest: a snapshot must never be resumed under a different
     // program (thread state embeds instruction pointers).
     s.str(prog.name);
@@ -783,15 +544,14 @@ void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
 }
 
 std::uint64_t structural_fingerprint(const MachineConfig& cfg,
-                                     std::uint32_t shard_count,
                                      const isa::Program& prog) {
     sim::StateSink s;
-    structural_config_echo(s, cfg, shard_count, prog);
+    structural_config_echo(s, cfg, prog);
     return sim::fnv1a64(s.data().data(), s.size());
 }
 
 void Machine::config_echo(sim::StateSink& s) const {
-    structural_config_echo(s, cfg_, shard_count_, prog_);
+    structural_config_echo(s, cfg_, prog_);
 }
 
 std::uint64_t Machine::config_fingerprint() const {
@@ -812,35 +572,16 @@ void Machine::save_snapshot_file(sim::Cycle cycle,
     for (const noc::Link& link : links_) {
         link.save_state(w.section(link.name()));
     }
-    for (std::size_t k = 0; k < channels_.size(); ++k) {
-        channels_[k]->save_state(w.section("chan" + std::to_string(k)),
-                                 noc::save_packet);
-    }
-    if (shard_count_ > 1) {
-        for (std::uint32_t sh = 0; sh < shard_count_; ++sh) {
-            sim::StateSink& s = w.section("shard" + std::to_string(sh));
-            s.u64(shards_[sh]->cycles_ticked());
-            s.u64(shards_[sh]->cycles_skipped());
-            sim::StateSink& sp = w.section("spans" + std::to_string(sh));
-            sim::save_seq(sp, shard_spans_[sh], save_thread_span);
-            sim::save_seq(sp, shard_dma_spans_[sh], save_dma_span);
-            shard_events_[sh].save_state(
-                w.section("events" + std::to_string(sh)));
-            shard_metrics_[sh].save_state(
-                w.section("metrics" + std::to_string(sh)));
-        }
-    } else {
-        sim::StateSink& sp = w.section("spans");
-        sim::save_seq(sp, spans_, save_thread_span);
-        sim::save_seq(sp, dma_spans_, save_dma_span);
-        events_.save_state(w.section("events"));
-        metrics_.save_state(w.section("metrics"));
-    }
+    sim::StateSink& sp = w.section("spans");
+    sim::save_seq(sp, spans_, save_thread_span);
+    sim::save_seq(sp, dma_spans_, save_dma_span);
+    events_.save_state(w.section("events"));
+    metrics_.save_state(w.section("metrics"));
     w.write(path);
 }
 
 void Machine::write_snapshot(sim::Cycle cycle) {
-    if (shards_.empty() && wheel_.started()) {
+    if (wheel_.started()) {
         // Under the wheel, sleepers lag behind on skip bookkeeping; settle
         // it so the snapshot is the exact dense-loop state at the cut.
         // Wheel entries themselves are untouched (and never serialised —
@@ -909,34 +650,7 @@ void Machine::restore(const std::string& path) {
         link.load_state(s);
         s.finish();
     }
-    for (std::size_t k = 0; k < channels_.size(); ++k) {
-        sim::StateSource s = reader.section("chan" + std::to_string(k));
-        channels_[k]->load_state(s, noc::load_packet);
-        s.finish();
-    }
-    if (shard_count_ > 1) {
-        for (std::uint32_t sh = 0; sh < shard_count_; ++sh) {
-            sim::StateSource s =
-                reader.section("shard" + std::to_string(sh));
-            const sim::Cycle ticked = s.u64();
-            const sim::Cycle skipped = s.u64();
-            s.finish();
-            shards_[sh]->restore_clock(restore_cycle_, ticked, skipped);
-            sim::StateSource sp =
-                reader.section("spans" + std::to_string(sh));
-            sim::load_seq(sp, shard_spans_[sh], load_thread_span);
-            sim::load_seq(sp, shard_dma_spans_[sh], load_dma_span);
-            sp.finish();
-            sim::StateSource ev =
-                reader.section("events" + std::to_string(sh));
-            shard_events_[sh].load_state(ev);
-            ev.finish();
-            sim::StateSource me =
-                reader.section("metrics" + std::to_string(sh));
-            shard_metrics_[sh].load_state(me);
-            me.finish();
-        }
-    } else {
+    {
         sim::StateSource sp = reader.section("spans");
         sim::load_seq(sp, spans_, load_thread_span);
         sim::load_seq(sp, dma_spans_, load_dma_span);
@@ -975,7 +689,7 @@ RunResult Machine::stop_early(sim::Cycle cycle) {
     logger_.log(sim::LogLevel::kInfo, cycle, "machine",
                 "stopped at cycle " + std::to_string(cycle) +
                     " (stop-at); machine not quiescent");
-    if (shards_.empty() && wheel_.started()) {
+    if (wheel_.started()) {
         wheel_.catch_up(cycle);
     }
     events_.canonicalize();
@@ -991,7 +705,7 @@ namespace {
 /// One link in a chained profiling timer: charge the span since the last
 /// boundary (minus time already claimed by nested scopes) and advance the
 /// boundary.  Chaining instead of per-segment RAII scopes leaves no
-/// un-attributed gaps inside the run loop (see Shard::run_until).
+/// un-attributed gaps inside the run loop.
 inline void prof_charge(sim::ProfBuffer* pb, std::uint64_t& t,
                         std::uint32_t slot, sim::ProfPhase phase) {
     const std::uint64_t t2 = sim::prof_now_ns();
@@ -1002,7 +716,7 @@ inline void prof_charge(sim::ProfBuffer* pb, std::uint64_t& t,
 }  // namespace
 
 void Machine::tick_cycle(sim::Cycle now, std::uint64_t& t) {
-    sim::ProfBuffer* const pb = prof_.empty() ? nullptr : &prof_[0];
+    sim::ProfBuffer* const pb = prof_buffer();
     if (pb == nullptr) {
         for (sim::Component* c : components_) {
             c->tick(now);
@@ -1063,14 +777,7 @@ void Machine::capture_telemetry(sim::Cycle now) {
     telemetry_next_ = now + cfg_.telemetry.interval;
     // Host-side tail (NDJSON stream / Perfetto only; never the JSON report).
     f.host_ns = sim::prof_now_ns();
-    if (!shards_.empty()) {
-        for (const auto& s : shards_) {
-            if (s->wheel() != nullptr && s->wheel()->started()) {
-                f.wheel_armed += s->wheel()->armed();
-                f.wheel_pops += s->wheel()->stats().pops;
-            }
-        }
-    } else if (wheel_.started()) {
+    if (wheel_.started()) {
         f.wheel_armed = wheel_.armed();
         f.wheel_pops = wheel_.stats().pops;
     }
@@ -1091,10 +798,10 @@ void Machine::sample_gauges(sim::Cycle now) {
         g_noc_pending_[n]->sample(
             now, static_cast<std::int64_t>(fabrics_[n].pending()));
     }
-    if (!prof_.empty()) {
+    if (cfg_.profile) {
         // Cumulative phase totals at the gauge cadence: the host counter
         // tracks rendered next to the simulated Perfetto tracks.
-        prof_[0].snapshot(now);
+        prof_.snapshot(now);
     }
     if (wheel_.started()) {
         wheel_.sample(now);
@@ -1126,34 +833,16 @@ std::uint64_t Machine::fingerprint() const {
     return fp;
 }
 
-std::string Machine::non_quiescent_names(sim::Cycle now) const {
-    // Each stuck component is tagged with its owning shard and the epoch
-    // that shard's clock is in, so deadlock dumps from a sharded run say
-    // which thread was holding what (single-threaded runs are all shard 0).
-    const sim::Cycle epoch_len = epoch_length();
+std::string Machine::non_quiescent_names() const {
     std::string who;
-    const auto append = [&who](const sim::Component* c, std::uint32_t shard,
-                               sim::Cycle epoch) {
+    for (const sim::Component* c : components_) {
         if (c->quiescent()) {
-            return;
+            continue;
         }
         if (!who.empty()) {
             who += ", ";
         }
-        who += c->name() + " [shard " + std::to_string(shard) + ", epoch " +
-               std::to_string(epoch) + "]";
-    };
-    if (!shards_.empty()) {
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            for (const sim::Component* c : shards_[s]->components()) {
-                append(c, static_cast<std::uint32_t>(s),
-                       shards_[s]->epoch_of(epoch_len));
-            }
-        }
-    } else {
-        for (const sim::Component* c : components_) {
-            append(c, 0, now / epoch_len);
-        }
+        who += c->name();
     }
     return who;
 }
@@ -1165,7 +854,7 @@ void Machine::throw_deadlock(sim::Cycle now, sim::Cycle stalled,
         parked += dse.pending();
     }
     const std::string tail =
-        " (stuck: " + non_quiescent_names(now) + "; " + std::to_string(parked) +
+        " (stuck: " + non_quiescent_names() + "; " + std::to_string(parked) +
         " FALLOCs parked at DSEs; the program's live-thread "
         "peak likely exceeds the frame supply)";
     if (idle_forever) {
@@ -1181,7 +870,7 @@ void Machine::throw_deadlock(sim::Cycle now, sim::Cycle stalled,
 void Machine::fast_forward_span(sim::Cycle from, sim::Cycle to,
                                 std::uint64_t& last_fp,
                                 sim::Cycle& last_progress) {
-    sim::ProfBuffer* const pb = prof_.empty() ? nullptr : &prof_[0];
+    sim::ProfBuffer* const pb = prof_buffer();
     const sim::ProfScope prof(pb, sim::ProfBuffer::kShardSlot,
                               sim::ProfPhase::kFastforwardScan);
     for (sim::Component* c : components_) {
@@ -1230,13 +919,10 @@ RunResult Machine::run() {
         const sim::Cycle step = cfg_.telemetry.interval;
         telemetry_next_ = ((restore_cycle_ + step - 1) / step) * step;
     }
-    if (shard_count_ > 1) {
-        return run_sharded();
-    }
     if (use_wheel_) {
         return run_wheel();
     }
-    sim::ProfBuffer* const pb = prof_.empty() ? nullptr : &prof_[0];
+    sim::ProfBuffer* const pb = prof_buffer();
     const std::uint64_t wall0 = pb != nullptr ? sim::prof_now_ns() : 0;
     // Chained timing boundary: starts at the wall-clock origin so the loop
     // has no un-attributed gaps (every span between boundaries is charged
@@ -1262,7 +948,7 @@ RunResult Machine::run() {
         }
         tick_cycle(now, t);
         if (progress_interval_ != 0) {
-            report_progress(now, 0, static_cast<std::uint32_t>(pes_.size()));
+            report_progress(now);
         }
         const bool quiet = check_quiescent();
         if (pb != nullptr) {
@@ -1343,7 +1029,7 @@ RunResult Machine::run() {
 }
 
 RunResult Machine::run_wheel() {
-    sim::ProfBuffer* const pb = prof_.empty() ? nullptr : &prof_[0];
+    sim::ProfBuffer* const pb = prof_buffer();
     const std::uint64_t wall0 = pb != nullptr ? sim::prof_now_ns() : 0;
     std::uint64_t t = wall0;
     wheel_.start(restore_cycle_);
@@ -1385,7 +1071,7 @@ RunResult Machine::run_wheel() {
             }
         }
         if (progress_interval_ != 0) {
-            report_progress(now, 0, static_cast<std::uint32_t>(pes_.size()));
+            report_progress(now);
         }
         const bool quiet = check_quiescent();
         if (pb != nullptr) {
@@ -1474,146 +1160,6 @@ RunResult Machine::run_wheel() {
                   std::to_string(cfg_.max_cycles) + ")");
 }
 
-void Machine::sample_shard_gauges(std::uint32_t shard, sim::Cycle now) {
-    ShardGauges& g = shard_gauges_[shard];
-    std::int64_t cmds = 0;
-    std::int64_t lines = 0;
-    const std::uint32_t pe_lo =
-        static_cast<std::uint32_t>(first_node_of(shard)) * cfg_.spes_per_node;
-    const std::uint32_t pe_hi =
-        static_cast<std::uint32_t>(first_node_of(shard + 1)) *
-        cfg_.spes_per_node;
-    for (std::uint32_t id = pe_lo; id < pe_hi; ++id) {
-        cmds += static_cast<std::int64_t>(pes_[id]->mfc().commands_in_flight());
-        lines += static_cast<std::int64_t>(pes_[id]->mfc().lines_in_flight());
-    }
-    g.dma_cmds->sample(now, cmds);
-    g.dma_lines->sample(now, lines);
-    if (g.mem_queue != nullptr) {
-        g.mem_queue->sample(now, static_cast<std::int64_t>(mem_.queue_depth()));
-    }
-    std::size_t i = 0;
-    for (std::uint16_t n = first_node_of(shard); n < first_node_of(shard + 1);
-         ++n, ++i) {
-        g.noc_pending[i]->sample(
-            now, static_cast<std::int64_t>(fabrics_[n].pending()));
-    }
-    if (!prof_.empty()) {
-        prof_[shard].snapshot(now);
-    }
-    if (shards_[shard]->wheel() != nullptr &&
-        shards_[shard]->wheel()->started()) {
-        shards_[shard]->wheel()->sample(now);
-    }
-}
-
-RunResult Machine::run_sharded() {
-    std::vector<sim::Shard*> shards;
-    shards.reserve(shards_.size());
-    for (const auto& s : shards_) {
-        shards.push_back(s.get());
-    }
-    sim::EpochRunner::Config ec;
-    ec.epoch = epoch_length();
-    ec.max_cycles = cfg_.max_cycles;
-    ec.no_progress_limit = cfg_.no_progress_limit;
-    ec.start = restore_cycle_;
-    ec.stop_at = stop_at_;
-    ec.checkpoint_every = checkpoint_every_;
-    if (telemetry_ != nullptr) {
-        // Telemetry cuts: epoch bounds land one past each sample cycle, so
-        // the coordinator captures a machine-wide frame — post-tick state of
-        // the sample cycle, every shard parked in the barrier — at exactly
-        // the cycles the single-threaded loops sample.  Result-neutral like
-        // checkpoint cuts: bound clamping only changes where barriers land.
-        ec.sample_every = cfg_.telemetry.interval;
-        ec.on_sample = [this](sim::Cycle cycle) { capture_telemetry(cycle); };
-    }
-    if (checkpoint_every_ != 0) {
-        ec.on_cut = [this](sim::Cycle cut) {
-            // All shard threads are parked in the barrier.  Settle every
-            // shard's accounting to the cut (safe: nothing in flight drains
-            // before it, and the machine was not quiescent at or before the
-            // cut), then serialise the globally-consistent state.
-            for (const auto& shard : shards_) {
-                shard->catch_up(cut);
-            }
-            write_snapshot(cut);
-        };
-    }
-    sim::EpochRunner runner(
-        std::move(shards), ec,
-        [this](sim::EpochRunner::Fail kind, sim::Cycle now,
-               sim::Cycle stalled) {
-            if (kind == sim::EpochRunner::Fail::kMaxCycles) {
-                DTA_SIM_ERROR("simulation exceeded max_cycles (" +
-                              std::to_string(cfg_.max_cycles) + ")");
-            }
-            throw_deadlock(now, stalled,
-                           kind == sim::EpochRunner::Fail::kIdleForever);
-        });
-    const sim::Cycle cycles = runner.run();
-    const bool stopped_early = stop_at_ != 0 && cycles == stop_at_;
-    logger_.log(sim::LogLevel::kInfo, cycles == 0 ? 0 : cycles - 1, "machine",
-                stopped_early ? "stopped by stop-at; machine not quiescent"
-                              : "quiescent; simulation complete");
-    for (const auto& shard : shards_) {
-        skipped_ += shard->cycles_skipped();
-    }
-    if (cfg_.audit.enabled && !stopped_early) {
-        // The worker threads have joined: a machine-wide pass (including
-        // the cross-shard final checks) is safe now.  A stop-at run skips
-        // it — the final checks assert quiescence, which an early stop
-        // deliberately does not have.
-        auditor_.run_final(cycles == 0 ? 0 : cycles - 1);
-    }
-
-    // Deterministic merge of the shard-local sinks.  Spans: the
-    // single-threaded loop pushes them in (end cycle, PE index) order — a
-    // span ends when its PE's tick at end-1 retires it, PEs tick in index
-    // order within a cycle, and one PE closes at most one thread span (and
-    // pushes DMA spans tag-ascending) per cycle — so a stable sort of the
-    // concatenated per-shard vectors by that key reproduces the exact
-    // single-threaded push order.
-    for (const auto& v : shard_spans_) {
-        spans_.insert(spans_.end(), v.begin(), v.end());
-    }
-    std::stable_sort(spans_.begin(), spans_.end(),
-                     [](const ThreadSpan& a, const ThreadSpan& b) {
-                         return a.end != b.end ? a.end < b.end : a.pe < b.pe;
-                     });
-    for (const auto& v : shard_dma_spans_) {
-        dma_spans_.insert(dma_spans_.end(), v.begin(), v.end());
-    }
-    std::stable_sort(dma_spans_.begin(), dma_spans_.end(),
-                     [](const dma::DmaSpan& a, const dma::DmaSpan& b) {
-                         return a.end != b.end ? a.end < b.end : a.pe < b.pe;
-                     });
-    if (cfg_.collect_metrics) {
-        metrics_.enable();
-        for (const sim::MetricsRegistry& reg : shard_metrics_) {
-            metrics_.merge_from(reg);
-        }
-    }
-    // Events: concatenate the shard logs, then restore the single-threaded
-    // emission order (each (cycle, ordinal) group lives on one shard, so
-    // the stable sort reproduces it byte for byte).
-    for (const sim::EventLog& log : shard_events_) {
-        events_.append_from(log);
-    }
-    events_.canonicalize();
-    return gather(cycles);
-}
-
-std::vector<Machine::ShardStat> Machine::shard_stats() const {
-    std::vector<ShardStat> out;
-    out.reserve(shards_.size());
-    for (const auto& s : shards_) {
-        out.push_back({s->name(), s->cycles_ticked(), s->cycles_skipped()});
-    }
-    return out;
-}
-
 RunResult Machine::gather(sim::Cycle cycles) const {
     RunResult r;
     r.cycles = cycles;
@@ -1666,34 +1212,16 @@ RunResult Machine::gather(sim::Cycle cycles) const {
     r.metrics = metrics_;
     r.dma_spans = dma_spans_;
     r.events = events_;
-    if (!prof_.empty()) {
-        const auto names_of = [](const std::vector<sim::Component*>& comps) {
-            std::vector<std::string> names;
-            names.reserve(comps.size());
-            for (const sim::Component* c : comps) {
-                names.push_back(c->name());
-            }
-            return names;
-        };
-        if (!shards_.empty()) {
-            for (std::uint32_t s = 0; s < shard_count_; ++s) {
-                sim::merge_prof_buffer(r.host_profile, s, shards_[s]->name(),
-                                       prof_[s],
-                                       names_of(shards_[s]->components()));
-            }
-        } else {
-            sim::merge_prof_buffer(r.host_profile, 0, "shard0", prof_[0],
-                                   names_of(components_));
+    if (cfg_.profile) {
+        std::vector<std::string> names;
+        names.reserve(components_.size());
+        for (const sim::Component* c : components_) {
+            names.push_back(c->name());
         }
+        sim::merge_prof_buffer(r.host_profile, prof_, names);
     }
     if (use_wheel_) {
-        if (!shards_.empty()) {
-            for (std::uint32_t s = 0; s < shard_count_; ++s) {
-                r.wheel.merge_from(shards_[s]->wheel()->stats(), s);
-            }
-        } else {
-            r.wheel = wheel_.stats();
-        }
+        r.wheel = wheel_.stats();
     }
     if (telemetry_ != nullptr) {
         r.telemetry = telemetry_->result();
@@ -1701,41 +1229,28 @@ RunResult Machine::gather(sim::Cycle cycles) const {
     return r;
 }
 
-void Machine::report_progress(sim::Cycle now, std::uint32_t pe_lo,
-                              std::uint32_t pe_hi) {
+void Machine::report_progress(sim::Cycle now) {
     if (!progress_ || progress_interval_ == 0 || now < next_progress_) {
         return;
     }
     std::uint64_t live = 0;
-    for (std::uint32_t id = pe_lo; id < pe_hi; ++id) {
-        live += pes_[id]->lse().live_frames() +
-                pes_[id]->lse().virtual_frames_live();
+    for (const auto& pe : pes_) {
+        live += pe->lse().live_frames() + pe->lse().virtual_frames_live();
     }
     Progress p;
     p.cycle = now;
     p.live_threads = live;
-    if (!shards_.empty()) {
-        // Shard 0's host-effort split only: its counters are the only ones
-        // this thread may read mid-run.
-        p.ticked = shards_[0]->cycles_ticked();
-        p.skipped = shards_[0]->cycles_skipped();
-    } else {
-        p.ticked = now > skipped_ ? now - skipped_ : 0;
-        p.skipped = skipped_;
-    }
+    p.ticked = now > skipped_ ? now - skipped_ : 0;
+    p.skipped = skipped_;
     if (telemetry_ != nullptr) {
-        // Live-telemetry summary: the latest frame was written either by
-        // this thread or by the epoch coordinator with every shard parked,
-        // so the barrier's ordering makes this read race-free.
+        // Live-telemetry summary from the latest frame, plus the busiest
+        // PE: the deepest combined scheduler + DMA queue.
         const sim::TelemetryFrame& f = telemetry_->latest();
         p.instrs_retired = f.instrs_retired;
         p.sample_cycle = f.cycle;
-        // Busiest component over the PEs this thread may read (shard 0's
-        // range mid-run; everything in single-threaded mode): the deepest
-        // combined scheduler + DMA queue.
         std::uint64_t best = 0;
-        for (std::uint32_t id = pe_lo; id < pe_hi; ++id) {
-            const auto& pe = *pes_[id];
+        for (const auto& pe_ptr : pes_) {
+            const Pe& pe = *pe_ptr;
             const std::uint64_t score = pe.lse().ready_count() +
                                         pe.lse().waitdma_count() +
                                         pe.mfc().commands_in_flight();

@@ -30,11 +30,11 @@
 #include "noc/link.hpp"
 #include "sched/dse.hpp"
 #include "sim/audit.hpp"
-#include "sim/channel.hpp"
 #include "sim/component.hpp"
+#include "sim/events.hpp"
 #include "sim/log.hpp"
 #include "sim/metrics.hpp"
-#include "sim/shard.hpp"
+#include "sim/prof.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/wheel.hpp"
 
@@ -82,7 +82,7 @@ struct RunResult {
     /// Thread-lifecycle event log in canonical (cycle, ordinal) order (only
     /// when MachineConfig::collect_events; otherwise empty).
     sim::EventLog events;
-    /// Host-time profile per (shard, component, phase) (only when
+    /// Host-time profile per (component, phase) (only when
     /// MachineConfig::profile; otherwise disabled and empty).  Host-side
     /// only: every other RunResult field is byte-identical with profiling
     /// on or off.
@@ -94,8 +94,8 @@ struct RunResult {
     sim::WheelStats wheel;
     /// Live-telemetry timeline (only when MachineConfig::telemetry.enabled;
     /// otherwise disabled and empty).  The frames' simulated fields are
-    /// deterministic — byte-identical across host thread counts and wheel
-    /// on/off — and are serialised into the JSON report's `telemetry`
+    /// deterministic — byte-identical with the wheel on or off — and are
+    /// serialised into the JSON report's `telemetry`
     /// section; the host-side frame tail (host_ns, wheel_*) rides only the
     /// NDJSON stream, exactly like RunResult::wheel.
     sim::TelemetryResult telemetry;
@@ -109,21 +109,18 @@ struct RunResult {
 };
 
 /// Serialises the structural parts of a machine description — everything
-/// that shapes what the machine *is* (shape, latencies, engine layouts, the
-/// resolved shard count) plus a digest of the loaded program — into \p s.
-/// Shared by Machine snapshots (the snapshot's `config` section and its
-/// fingerprint) and the serve result cache (docs/SERVING.md), which keys
-/// memoized runs on the same bytes.  Observer knobs (log level, audits,
-/// profiling, fast-forward, the wheel) are deliberately excluded.
+/// that shapes what the machine *is* (shape, latencies, engine layouts)
+/// plus a digest of the loaded program — into \p s.  Shared by Machine
+/// snapshots (the snapshot's `config` section and its fingerprint) and the
+/// serve result cache (docs/SERVING.md), which keys memoized runs on the
+/// same bytes.  Observer knobs (log level, audits, profiling, fast-forward,
+/// the wheel) are deliberately excluded.
 void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
-                            std::uint32_t shard_count,
                             const isa::Program& prog);
 
 /// FNV-1a 64 over structural_config_echo's bytes.  Equals
-/// Machine::config_fingerprint() for a machine built from (cfg, prog) whose
-/// resolved host-thread count is \p shard_count.
+/// Machine::config_fingerprint() for a machine built from (cfg, prog).
 [[nodiscard]] std::uint64_t structural_fingerprint(const MachineConfig& cfg,
-                                                   std::uint32_t shard_count,
                                                    const isa::Program& prog);
 
 /// A complete DTA machine.
@@ -151,9 +148,7 @@ public:
     /// on PE 0 pre-filled with \p args, immediately ready.
     void launch(std::span<const std::uint64_t> args);
 
-    /// One progress heartbeat.  In sharded runs the live-thread count and
-    /// the ticked/skipped host-effort split cover shard 0 only (cross-shard
-    /// state is not touched mid-run); callers extrapolate.
+    /// One progress heartbeat.
     struct Progress {
         sim::Cycle cycle = 0;
         std::uint64_t live_threads = 0;
@@ -167,8 +162,7 @@ public:
         std::string busiest;
     };
     /// Periodic progress callback: invoked at most once per \p interval
-    /// simulated cycles.  In sharded runs the callback fires on the thread
-    /// driving shard 0.  Install before run(); null \p fn disables.
+    /// simulated cycles.  Install before run(); null \p fn disables.
     using ProgressFn = std::function<void(const Progress&)>;
     void set_progress(sim::Cycle interval, ProgressFn fn) {
         progress_interval_ = interval;
@@ -247,38 +241,19 @@ public:
     /// either way.
     [[nodiscard]] sim::Cycle cycles_fast_forwarded() const { return skipped_; }
 
-    /// Host threads the run loop actually uses (cfg.host_threads resolved:
-    /// 0 becomes hardware_concurrency, then capped at the node count; 1 is
-    /// the single-threaded reference loop).
-    [[nodiscard]] std::uint32_t shard_count() const { return shard_count_; }
-    /// Per-shard host-effort split (how many cycles each shard ticked vs
-    /// fast-forwarded).  Empty in single-threaded mode.
-    struct ShardStat {
-        std::string name;
-        sim::Cycle ticked = 0;
-        sim::Cycle skipped = 0;
-    };
-    [[nodiscard]] std::vector<ShardStat> shard_stats() const;
-
 private:
     void tick_cycle(sim::Cycle now, std::uint64_t& prof_t);
     void sample_gauges(sim::Cycle now);
-    /// The event-driven run loop (single-threaded, use_wheel on): visits
-    /// each component only at its scheduled cycle and replays the dense
-    /// loop's observable side effects (gauge samples, deadlock checkpoints)
-    /// over the jumped spans, so every RunResult byte matches run()'s.
+    /// The event-driven run loop (use_wheel on): visits each component
+    /// only at its scheduled cycle and replays the dense loop's observable
+    /// side effects (gauge samples, deadlock checkpoints) over the jumped
+    /// spans, so every RunResult byte matches run()'s.
     [[nodiscard]] RunResult run_wheel();
-    /// Binds the wake hooks of every port consumed by a component of nodes
-    /// [node_lo, node_hi) to \p sched, addressing each by its index in
-    /// \p comps (the scheduler list \p sched was attached to).
-    void attach_wakers(sim::WheelScheduler& sched,
-                       const std::vector<sim::Component*>& comps,
-                       std::uint16_t node_lo, std::uint16_t node_hi);
-    /// Registers the per-component invariant checks for nodes
-    /// [node_lo, node_hi) into \p a (the machine-wide auditor, or one
-    /// shard's auditor in sharded mode).
-    void register_audit_checks(sim::Auditor& a, std::uint16_t node_lo,
-                               std::uint16_t node_hi);
+    /// Binds the wake hooks of every port a component drains to wheel_,
+    /// addressing each consumer by its index in components_.
+    void attach_wakers();
+    /// Registers the per-component invariant checks into auditor_.
+    void register_audit_checks();
     /// Registers the machine-wide quiescence checks (run once after the
     /// run completes): frame supply back at the DSEs, remote-store
     /// conservation across the NoC, drained engines and fabrics.
@@ -288,7 +263,7 @@ private:
     [[nodiscard]] bool check_quiescent() const;
     /// Activity fingerprint for no-progress (deadlock) detection.
     [[nodiscard]] std::uint64_t fingerprint() const;
-    [[nodiscard]] std::string non_quiescent_names(sim::Cycle now) const;
+    [[nodiscard]] std::string non_quiescent_names() const;
     [[noreturn]] void throw_deadlock(sim::Cycle now, sim::Cycle stalled,
                                      bool idle_forever) const;
     /// Applies the bookkeeping of skipped cycles [from, to): component
@@ -314,29 +289,16 @@ private:
     /// and gather the partial result (no final quiescence audit).
     [[nodiscard]] RunResult stop_early(sim::Cycle cycle);
 
-    // --- sharded (multi-threaded) run loop -------------------------------
-    /// Conservative lookahead: the soonest a packet serialised now can be
-    /// observed across a link is latency + 1 cycles later.
-    [[nodiscard]] sim::Cycle epoch_length() const {
-        return static_cast<sim::Cycle>(cfg_.link.latency) + 1;
-    }
-    [[nodiscard]] std::uint16_t first_node_of(std::uint32_t shard) const {
-        return static_cast<std::uint16_t>(
-            static_cast<std::uint32_t>(cfg_.nodes) * shard / shard_count_);
-    }
-    void build_shards();
-    void sample_shard_gauges(std::uint32_t shard, sim::Cycle now);
     /// Captures one machine-wide telemetry frame at \p now (post-tick
-    /// state).  No-op unless cfg_.telemetry.enabled.  Called from the
-    /// single-threaded loops at sample cycles (and replayed over
-    /// fast-forwarded spans), and from the epoch coordinator's completion
-    /// step — with every shard parked — under the sharded loop.
+    /// state).  No-op unless cfg_.telemetry.enabled.  Called from the run
+    /// loops at sample cycles, and replayed over fast-forwarded spans.
     void capture_telemetry(sim::Cycle now);
-    [[nodiscard]] RunResult run_sharded();
-    /// Fires progress_ if \p now crossed the next reporting threshold; the
-    /// live-thread count covers PEs [pe_lo, pe_hi).
-    void report_progress(sim::Cycle now, std::uint32_t pe_lo,
-                         std::uint32_t pe_hi);
+    /// Fires progress_ if \p now crossed the next reporting threshold.
+    void report_progress(sim::Cycle now);
+    /// The host-time profiler's buffer, or nullptr when profiling is off.
+    [[nodiscard]] sim::ProfBuffer* prof_buffer() {
+        return cfg_.profile ? &prof_ : nullptr;
+    }
 
     MachineConfig cfg_;
     isa::Program prog_;
@@ -363,15 +325,13 @@ private:
     /// check_quiescent() (a search hint; never changes a result).
     mutable std::size_t quiet_witness_ = 0;
     sim::Cycle skipped_ = 0;
-    /// Event-driven scheduler for the single-threaded loop (sharded runs
-    /// carry one per Shard instead, so wakes never cross host threads).
+    /// Event-driven scheduler of the wheel run loop.
     sim::WheelScheduler wheel_;
 
     std::vector<ThreadSpan> spans_;  ///< filled when cfg_.capture_spans
 
     // event log (live only when cfg_.collect_events)
     sim::EventLog events_;
-    std::vector<sim::EventLog> shard_events_;  ///< shard-local, merged at end
 
     // progress reporting (live only when set_progress installed a callback)
     ProgressFn progress_;
@@ -380,16 +340,11 @@ private:
 
     // invariant audits (live only when cfg_.audit.enabled)
     sim::Auditor auditor_;  ///< machine-wide checks + final checks
-    /// Shard-local check sets (sharded mode): each shard audits only its
-    /// own components mid-run; the machine-wide auditor_ runs once more
-    /// after the join.
-    std::vector<sim::Auditor> shard_auditors_;
     sim::Cycle audit_interval_ = 0;  ///< 0 = audits off
 
-    // host-time profiler (live only when cfg_.profile): one buffer per
-    // shard (exactly one in single-threaded mode), sized once at
-    // construction — components and shards hold pointers into it.
-    std::vector<sim::ProfBuffer> prof_;
+    // host-time profiler (live only when cfg_.profile), sized once at
+    // construction — the wheel holds a pointer into it.
+    sim::ProfBuffer prof_;
 
     // live telemetry (live only when cfg_.telemetry.enabled; off = one
     // null check at the run loops' sample sites)
@@ -398,8 +353,7 @@ private:
     // interval).  capture_telemetry advances it, so the hot sample sites
     // test equality instead of a per-cycle 64-bit modulo, and the
     // fast-forward replay loops walk it directly with no alignment
-    // division.  The sharded loop samples on epoch bounds instead and
-    // never consults it.
+    // division.
     sim::Cycle telemetry_next_ = 0;
 
     // metrics (live only when cfg_.collect_metrics)
@@ -409,24 +363,6 @@ private:
     sim::GaugeSeries* g_dma_lines_ = nullptr;
     sim::GaugeSeries* g_mem_queue_ = nullptr;
     std::vector<sim::GaugeSeries*> g_noc_pending_;  ///< one per fabric
-
-    // --- sharded mode state (shard_count_ > 1 only) ----------------------
-    std::uint32_t shard_count_ = 1;
-    std::vector<std::uint16_t> node_shard_;  ///< node -> owning shard
-    std::vector<std::unique_ptr<sim::SpscChannel<noc::Packet>>> channels_;
-    std::vector<std::unique_ptr<sim::Shard>> shards_;
-    /// Shard-local collection sinks; components of shard s write only
-    /// here, and run_sharded() merges them deterministically at the end.
-    std::vector<sim::MetricsRegistry> shard_metrics_;
-    std::vector<std::vector<ThreadSpan>> shard_spans_;
-    std::vector<std::vector<dma::DmaSpan>> shard_dma_spans_;
-    struct ShardGauges {
-        sim::GaugeSeries* dma_cmds = nullptr;
-        sim::GaugeSeries* dma_lines = nullptr;
-        sim::GaugeSeries* mem_queue = nullptr;  ///< node-0 owner only
-        std::vector<sim::GaugeSeries*> noc_pending;  ///< per owned fabric
-    };
-    std::vector<ShardGauges> shard_gauges_;
 
     bool launched_ = false;
     bool ran_ = false;

@@ -31,20 +31,6 @@ bool NodeRouter::inject(noc::EndpointId src, noc::Packet pkt,
 }
 
 void NodeRouter::tick(sim::Cycle now) {
-    // (a0) shard-crossing deliveries whose drain cycle has come up; they
-    // join arrivals_ exactly when the upstream router would have pushed
-    // them in the single-threaded schedule.
-    if (in_channel_ != nullptr) {
-        const sim::ProfScope ps(prof_, sim::ProfBuffer::kShardSlot,
-                                sim::ProfPhase::kChannelDrain);
-        sim::Cycle drain_at = 0;
-        while (in_channel_->peek_drain(&drain_at) && drain_at <= now) {
-            noc::Packet pkt;
-            const bool ok = in_channel_->try_pop(pkt);
-            DTA_CHECK(ok);  // sole consumer; peek just saw the entry
-            arrivals_.push(std::move(pkt));
-        }
-    }
     // (a) packets that arrived over the inbound link
     while (!arrivals_.empty()) {
         if (arrivals_.front().dst_node == node_) {
@@ -127,12 +113,8 @@ void NodeRouter::tick(sim::Cycle now) {
 }
 
 bool NodeRouter::quiescent() const {
-    // An undrained channel entry — even one stamped for a future cycle —
-    // counts as in-flight work: from the producer's deliver_at onward this
-    // router is the only component vouching for the packet.
     return arrivals_.empty() && bridge_out_.empty() &&
-           (link_ == nullptr || link_->quiescent()) &&
-           (in_channel_ == nullptr || in_channel_->empty());
+           (link_ == nullptr || link_->quiescent());
 }
 
 sim::Cycle NodeRouter::next_activity(sim::Cycle now) const {
@@ -154,14 +136,7 @@ sim::Cycle NodeRouter::next_activity(sim::Cycle now) const {
             return now + 1;
         }
     }
-    sim::Cycle h = link_ != nullptr ? link_->next_activity(now)
-                                    : sim::kIdleForever;
-    sim::Cycle drain_at = 0;
-    if (in_channel_ != nullptr && in_channel_->peek_drain(&drain_at)) {
-        const sim::Cycle at = drain_at > now ? drain_at : now + 1;
-        h = at < h ? at : h;
-    }
-    return h;
+    return link_ != nullptr ? link_->next_activity(now) : sim::kIdleForever;
 }
 
 void NodeRouter::save_state(sim::StateSink& s) const {

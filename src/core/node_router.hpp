@@ -46,14 +46,6 @@ public:
     }
     /// Wires the ring: this node's link delivers into \p next's arrivals.
     void set_forward_to(sim::Port<noc::Packet>* next) { forward_to_ = next; }
-    /// Sharded machines: the upstream link is on another shard and its
-    /// deliveries come through \p ch instead of arrivals_.  Entries are
-    /// drained into arrivals_ once their stamped cycle comes up, which is
-    /// exactly when the upstream router would have pushed them directly.
-    void set_inbound_channel(noc::Link::TxChannel* ch) { in_channel_ = ch; }
-    /// Charges inbound-channel draining to \p prof (phase channel_drain);
-    /// null disables.  The buffer must belong to this router's shard.
-    void set_prof(sim::ProfBuffer* prof) { prof_ = prof; }
     /// Points kLinkHop emission (remote frame stores leaving the node) at
     /// \p log; \p ordinal identifies this router in the merged event log
     /// (total PE count + node id, keeping it disjoint from PE ordinals).
@@ -84,8 +76,6 @@ private:
     MemInterface* memif_;                      ///< memory node only
     noc::Link* link_;                          ///< multi-node only
     sim::Port<noc::Packet>* forward_to_ = nullptr;
-    noc::Link::TxChannel* in_channel_ = nullptr;  ///< shard-crossing inbound
-    sim::ProfBuffer* prof_ = nullptr;  ///< host-time profiler (optional)
     sim::EventLog* events_ = nullptr;  ///< optional, machine-owned
     std::uint32_t ordinal_ = 0;        ///< event ordinal (pes + node)
 

@@ -184,10 +184,11 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
         ++flow_id;
     }
 
-    // Host-side tracks: per (shard, phase), the host nanoseconds burnt in
-    // each gauge-sampling interval, plotted against simulated time.  The
-    // snapshots carry cumulative totals, so each point is a delta from the
-    // previous one; phases a shard never touched are skipped entirely.
+    // Host-side tracks: per phase of the run loop's row ("shard0/<phase>"),
+    // the host nanoseconds burnt in each gauge-sampling interval, plotted
+    // against simulated time.  The snapshots carry cumulative totals, so
+    // each point is a delta from the previous one; phases the run never
+    // touched are skipped entirely.
     if (host.enabled) {
         for (const sim::HostProfileShard& s : host.shards) {
             for (std::size_t p = 0; p < sim::kNumProfPhases; ++p) {
@@ -207,24 +208,17 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
             }
         }
     }
-    // Event-driven scheduler tracks: per shard, the armed-component count
-    // (an occupancy gauge) plus pop and insert *rates* over each sampling
-    // interval (the samples carry cumulative totals, so each point is a
-    // delta from the shard's previous one).  Samples arrive merged and
-    // sorted by (cycle, shard), so per-shard deltas need a cursor per
-    // shard; runs without the wheel (or without metrics) add nothing.
+    // Event-driven scheduler tracks ("shard0/..."): the armed-component
+    // count (an occupancy gauge) plus pop and insert *rates* over each
+    // sampling interval (the samples carry cumulative totals, so each point
+    // is a delta from the previous one); runs without the wheel (or without
+    // metrics) add nothing.
     if (wheel.enabled && !wheel.samples.empty()) {
-        std::uint32_t max_shard = 0;
-        for (const sim::WheelStats::Sample& s : wheel.samples) {
-            max_shard = s.shard > max_shard ? s.shard : max_shard;
-        }
         struct Prev {
             std::uint64_t pops = 0;
             std::uint64_t inserts = 0;
-        };
-        std::vector<Prev> prev(max_shard + 1);
+        } p;
         for (const sim::WheelStats::Sample& s : wheel.samples) {
-            Prev& p = prev[s.shard];
             w.next() << R"(  {"name": "shard)" << s.shard
                      << R"(/armed", "cat": "wheel", "ph": "C", "ts": )"
                      << s.cycle << R"(, "pid": 4, "args": {"value": )"

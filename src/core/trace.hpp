@@ -76,8 +76,8 @@ struct CodeProfile {
     const std::vector<TraceFlow>& flows);
 
 /// Like the flow variant, and additionally renders the host-side profile
-/// (pid 3, "host") as one counter track per (shard, phase): the host
-/// nanoseconds that phase consumed per gauge-sampling interval, plotted
+/// (pid 3, "host") as one counter track per phase ("shard0/<phase>"): the
+/// host nanoseconds that phase consumed per gauge-sampling interval, plotted
 /// against simulated time so host cost lines up under the simulated
 /// activity that caused it.  \p host disabled or without samples adds
 /// nothing (the output is then byte-identical to the flow variant).
@@ -90,8 +90,8 @@ struct CodeProfile {
 
 /// Like the host variant, and additionally renders the event-driven
 /// scheduler's counters (pid 4, "wheel") as counter tracks: armed
-/// components (occupancy) plus per-sampling-interval pop and insert rates,
-/// one track set per shard, plotted against simulated time.  \p wheel
+/// components (occupancy) plus per-sampling-interval pop and insert rates
+/// ("shard0/..." tracks), plotted against simulated time.  \p wheel
 /// disabled or without samples adds nothing (the output is then
 /// byte-identical to the host variant — which is how `--no-wheel` runs and
 /// the wheel-vs-dense determinism tests keep their traces comparable).

@@ -26,7 +26,11 @@ const char* block_marker(CodeBlock b) {
     return ".?";
 }
 
-std::string reg_str(std::uint8_t r) { return "r" + std::to_string(r); }
+std::string reg_str(std::uint8_t r) {
+    std::string s(1, 'r');
+    s += std::to_string(r);
+    return s;
+}
 
 /// Renders one instruction in the parse-friendly syntax.  Branch targets
 /// are rendered as "L<index>"; the caller guarantees a matching label line.

@@ -5,7 +5,11 @@
 namespace dta::isa {
 namespace {
 
-std::string reg_str(std::uint8_t idx) { return "r" + std::to_string(idx); }
+std::string reg_str(std::uint8_t idx) {
+    std::string s(1, 'r');
+    s += std::to_string(idx);
+    return s;
+}
 
 }  // namespace
 

@@ -21,18 +21,9 @@ bool Link::try_send(Packet pkt) {
 }
 
 void Link::tick(sim::Cycle now) {
-    if (channel_ != nullptr) {
-        // Channel mode: packets already crossed at serialisation time; the
-        // sender merely stops vouching for them once they mature (the
-        // receiver's channel-backed router is non-quiescent from then on).
-        while (!tx_pending_.empty() && tx_pending_.front() <= now) {
-            tx_pending_.pop_front();
-        }
-    } else {
-        while (!in_transit_.empty() && in_transit_.front().deliver_at <= now) {
-            delivered_.push_back(std::move(in_transit_.front().pkt));
-            in_transit_.pop_front();
-        }
+    while (!in_transit_.empty() && in_transit_.front().deliver_at <= now) {
+        delivered_.push_back(std::move(in_transit_.front().pkt));
+        in_transit_.pop_front();
     }
     if (queue_.empty() || wire_free_at_ > now) {
         return;
@@ -46,15 +37,6 @@ void Link::tick(sim::Cycle now) {
     ++carried_;
     bytes_ += pkt.size_bytes;
     const sim::Cycle deliver_at = now + occupancy + cfg_.latency;
-    if (channel_ != nullptr) {
-        tx_pending_.push_back(deliver_at);
-        const sim::ProfScope ps(prof_, sim::ProfBuffer::kShardSlot,
-                                sim::ProfPhase::kChannelSerialize);
-        const bool ok =
-            channel_->try_push(deliver_at + drain_bias_, std::move(pkt));
-        DTA_CHECK_MSG(ok, "cross-shard link channel overflow");
-        return;
-    }
     in_transit_.push_back(InTransit{deliver_at, std::move(pkt)});
 }
 
@@ -65,8 +47,6 @@ void Link::save_state(sim::StateSink& s) const {
         save_packet(k, it.pkt);
     });
     sim::save_seq(s, delivered_, save_packet);
-    sim::save_seq(s, tx_pending_,
-                  [](sim::StateSink& k, sim::Cycle c) { k.u64(c); });
     s.u64(wire_free_at_);
     s.u64(carried_);
     s.u64(bytes_);
@@ -79,8 +59,6 @@ void Link::load_state(sim::StateSource& s) {
         load_packet(k, it.pkt);
     });
     sim::load_seq(s, delivered_, load_packet);
-    sim::load_seq(s, tx_pending_,
-                  [](sim::StateSource& k, sim::Cycle& c) { c = k.u64(); });
     wire_free_at_ = s.u64();
     carried_ = s.u64();
     bytes_ = s.u64();

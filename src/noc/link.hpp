@@ -13,9 +13,7 @@
 #include <deque>
 
 #include "noc/packet.hpp"
-#include "sim/channel.hpp"
 #include "sim/component.hpp"
-#include "sim/prof.hpp"
 #include "sim/types.hpp"
 
 namespace dta::noc {
@@ -27,23 +25,10 @@ struct LinkConfig {
     std::uint32_t queue_depth = 32;     ///< sender-side buffer
 };
 
-/// A unidirectional inter-node channel.
-///
-/// Two delivery modes share the serialiser and its timing:
-///  * **port mode** (default): matured packets collect in `delivered_` and
-///    the owning router pops and forwards them — the single-threaded path.
-///  * **channel mode** (`attach_channel`): the link is a shard-crossing
-///    edge; each packet is published into a lock-free SPSC channel *at
-///    serialisation time*, stamped with the cycle the receiver may observe
-///    it (deliver_at plus a drain bias reproducing the single-threaded
-///    router tick order: +1 only on the ring's wrap-around edge, where the
-///    receiving router ticks before the sending one).  The sender keeps the
-///    deliver_at of every in-flight packet (`tx_pending_`) so quiescence
-///    and the horizon stay exactly what port mode reports.
+/// A unidirectional inter-node channel.  Matured packets collect in
+/// `delivered_`, and the owning router pops and forwards them.
 class Link final : public sim::Component {
 public:
-    using TxChannel = sim::SpscChannel<Packet>;
-
     explicit Link(const LinkConfig& cfg);
 
     [[nodiscard]] bool can_send() const {
@@ -52,25 +37,10 @@ public:
     /// Returns false if the sender-side buffer is full.
     [[nodiscard]] bool try_send(Packet pkt);
 
-    /// Switches to channel mode: serialised packets are published to
-    /// \p channel with drain cycle deliver_at + \p drain_bias.
-    void attach_channel(TxChannel* channel, std::uint32_t drain_bias) {
-        channel_ = channel;
-        drain_bias_ = drain_bias;
-    }
-
-    /// Charges channel publication time to \p prof (phase
-    /// channel_serialize); null disables.  The buffer must belong to the
-    /// shard that ticks this link.
-    void set_prof(sim::ProfBuffer* prof) { prof_ = prof; }
-
     void tick(sim::Cycle now) override;
 
     [[nodiscard]] bool pop_delivered(Packet& out);
     [[nodiscard]] bool quiescent() const override {
-        if (channel_ != nullptr) {
-            return queue_.empty() && tx_pending_.empty();
-        }
         return queue_.empty() && in_transit_.empty() && delivered_.empty();
     }
 
@@ -78,20 +48,14 @@ public:
     /// serialiser starts the next queued packet when the wire frees; an
     /// in-flight packet matures at its deliver_at.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
+        if (!delivered_.empty()) {
+            return now + 1;
+        }
         sim::Cycle h = sim::kIdleForever;
-        if (channel_ != nullptr) {
-            if (!tx_pending_.empty()) {
-                h = tx_pending_.front() > now ? tx_pending_.front() : now + 1;
-            }
-        } else {
-            if (!delivered_.empty()) {
-                return now + 1;
-            }
-            if (!in_transit_.empty()) {
-                h = in_transit_.front().deliver_at > now
-                        ? in_transit_.front().deliver_at
-                        : now + 1;
-            }
+        if (!in_transit_.empty()) {
+            h = in_transit_.front().deliver_at > now
+                    ? in_transit_.front().deliver_at
+                    : now + 1;
         }
         if (!queue_.empty()) {
             const sim::Cycle start =
@@ -106,9 +70,8 @@ public:
     [[nodiscard]] const LinkConfig& config() const { return cfg_; }
 
     // --- checkpoint/restore -------------------------------------------------
-    /// Serializes sender queue, on-wire packets (port mode) or their
-    /// deliver_at stamps (channel mode; the channel body is its own
-    /// section), delivered-but-unpopped packets, and statistics.
+    /// Serializes sender queue, on-wire packets, delivered-but-unpopped
+    /// packets, and statistics.
     void save_state(sim::StateSink& s) const override;
     void load_state(sim::StateSource& s) override;
 
@@ -125,12 +88,6 @@ private:
     sim::Cycle wire_free_at_ = 0;
     std::uint64_t carried_ = 0;
     std::uint64_t bytes_ = 0;
-
-    // channel mode (shard-crossing edge)
-    TxChannel* channel_ = nullptr;
-    std::uint32_t drain_bias_ = 0;
-    std::deque<sim::Cycle> tx_pending_;  ///< deliver_at of on-wire packets
-    sim::ProfBuffer* prof_ = nullptr;    ///< host-time profiler (optional)
 };
 
 }  // namespace dta::noc

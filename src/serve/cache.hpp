@@ -2,11 +2,10 @@
 /// \brief On-disk content-addressed result cache for the sweep server.
 ///
 /// Entries are keyed by a 64-bit job key (the structural config
-/// fingerprint of core/machine.hpp with the shard count pinned to 1 —
-/// results are byte-identical across host thread counts — salted with the
-/// workload identity and parameters; see serve/job.hpp) and store the
-/// run's raw JSON report bytes verbatim, so a cache hit can be
-/// byte-compared against a fresh run.
+/// fingerprint of core/machine.hpp salted with the workload identity and
+/// parameters; see serve/job.hpp) and store the run's raw JSON report
+/// bytes verbatim, so a cache hit can be byte-compared against a fresh
+/// run.
 ///
 /// One entry per file at `<dir>/<key as 16 hex digits>.dtares`:
 ///

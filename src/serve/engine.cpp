@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "sim/check.hpp"
 #include "stats/json_value.hpp"
 
 namespace dta::serve {
@@ -36,6 +37,11 @@ std::uint64_t report_cycles(const std::string& report) {
 
 Engine::Engine(const EngineConfig& cfg)
     : cfg_(cfg), started_(std::chrono::steady_clock::now()) {
+    DTA_SIM_REQUIRE(cfg_.default_threads == 1,
+                    "EngineConfig::default_threads must be 1 (got " +
+                        std::to_string(cfg_.default_threads) +
+                        "): each job runs on one host thread; use more "
+                        "workers for parallelism");
     metrics_.enable();
     if (!cfg_.cache_dir.empty()) {
         cache_ = std::make_unique<ResultCache>(cfg_.cache_dir,

@@ -50,7 +50,11 @@ struct EngineConfig {
     std::string cache_dir;            ///< empty = caching off
     std::uint64_t cache_max_bytes = 0;  ///< 0 = unbounded
     std::uint32_t verify_hits = 0;    ///< re-run every Nth hit; 0 = never
-    std::uint32_t default_threads = 1;  ///< host threads per job
+    /// Host threads per job.  Retired: 1 is the only valid value (the
+    /// Engine constructor rejects any other); jobs run in parallel across
+    /// `workers` instead.  Kept until the benchmark harness stops
+    /// assigning it.
+    std::uint32_t default_threads = 1;
 };
 
 class Engine {

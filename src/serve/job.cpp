@@ -102,7 +102,7 @@ bool get_string(const JsonValue& spec, const char* key, std::string& out,
 struct Overrides {
     std::uint16_t spes = 8;
     std::uint16_t nodes = 0;        // 0 = factory default
-    std::uint32_t threads;          // host threads; seeded by caller
+    std::uint32_t threads;          // host threads (only 1); seeded by caller
     std::uint32_t mem_latency = 0;  // 0 = factory default
     std::uint32_t frames = 0;
     std::uint32_t staging = 0;
@@ -116,7 +116,7 @@ bool parse_overrides(const JsonValue& spec, Overrides& o,
                      std::string& error) {
     if (!get_uint(spec, "spes", o.spes, error, 1) ||
         !get_uint(spec, "nodes", o.nodes, error, 1) ||
-        !get_uint(spec, "threads", o.threads, error, 0, 4096) ||
+        !get_uint(spec, "threads", o.threads, error, 1, 1) ||
         !get_uint(spec, "mem_latency", o.mem_latency, error, 1) ||
         !get_uint(spec, "frames", o.frames, error, 1) ||
         !get_uint(spec, "staging", o.staging, error, 1) ||
@@ -172,8 +172,8 @@ void bind_workload(PreparedJob& out, typename W::Params p, bool prefetch,
 }
 
 /// The cache key: a format tag, the structural machine+program
-/// fingerprint with the shard count pinned to 1, and everything that
-/// shapes the memory image or entry arguments.
+/// fingerprint, and everything that shapes the memory image or entry
+/// arguments.
 std::uint64_t job_key(const core::MachineConfig& cfg,
                       const isa::Program& prog, const std::string& workload,
                       bool prefetch, std::uint64_t p0, std::uint64_t p1,
@@ -181,7 +181,7 @@ std::uint64_t job_key(const core::MachineConfig& cfg,
                       const std::vector<std::uint64_t>& args) {
     sim::StateSink s;
     s.str("dta-serve-key-v1");
-    s.u64(core::structural_fingerprint(cfg, /*shard_count=*/1, prog));
+    s.u64(core::structural_fingerprint(cfg, prog));
     s.str(workload);
     s.flag(prefetch);
     s.u64(p0);

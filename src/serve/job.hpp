@@ -12,12 +12,10 @@
 /// cache key.
 ///
 /// The cache key is FNV-1a 64 over: a format tag, the structural config
-/// fingerprint (core/machine.hpp, shard count pinned to 1 — results are
-/// byte-identical across host thread counts, so the host parallelism must
-/// not fragment the cache), the workload name and prefetch flag, every
-/// workload parameter that shapes the memory image, and the entry
-/// arguments.  Observer knobs (checkpointing, host threads) are excluded:
-/// they never change the report bytes.
+/// fingerprint (core/machine.hpp), the workload name and prefetch flag,
+/// every workload parameter that shapes the memory image, and the entry
+/// arguments.  Observer knobs (checkpointing) are excluded: they never
+/// change the report bytes.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +56,8 @@ struct JobResult {
 /// Parses one JSON job object into a PreparedJob.  On failure returns
 /// false with a one-line reason (unknown workload, bad parameter, missing
 /// program...).  \p default_threads seeds cfg.host_threads unless the job
-/// overrides it.
+/// overrides it; 1 is the only value a machine accepts (a job's
+/// `"threads"` field may only be 1).
 [[nodiscard]] bool prepare_job(const stats::JsonValue& spec,
                                std::uint32_t default_threads,
                                PreparedJob& out, std::string& error);

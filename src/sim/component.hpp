@@ -41,7 +41,7 @@
 /// re-armed at exactly `next_activity(now)` and is not visited before then.
 /// The "assuming no new input" escape hatch is closed by wakes: every queue
 /// a component drains carries a `Waker` binding (Port<T>::set_waker, or the
-/// equivalent hook on the fabric and the cross-shard channels), so the
+/// equivalent hook on the fabric), so the
 /// moment a producer pushes, the sleeping consumer is re-armed — at the
 /// current cycle if the dense tick order would still reach it this cycle
 /// (producer index below consumer index in the scheduler list), else at the

@@ -42,10 +42,6 @@ std::vector<Event> EventLog::flatten() const {
     return all;
 }
 
-void EventLog::append_from(const EventLog& other) {
-    other.for_each([&](const Event& e) { push(e); });
-}
-
 void EventLog::canonicalize() {
     std::vector<Event> all = flatten();
     std::stable_sort(all.begin(), all.end(),

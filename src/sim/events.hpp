@@ -1,6 +1,6 @@
 /// \file events.hpp
-/// \brief Thread-lifecycle event log: compact per-shard ring of fixed-size
-///        event structs, deterministically mergeable like metrics.
+/// \brief Thread-lifecycle event log: compact chunked ring of fixed-size
+///        event structs in a canonical (cycle, ordinal) order.
 ///
 /// Where the metrics layer (PR 1) aggregates — histograms and counters that
 /// say *how much* — the event log records *which*: every DTA thread's
@@ -25,12 +25,10 @@
 /// Storage is a ring of fixed-size chunks: pushes append into the current
 /// chunk and a full chunk links a fresh one, so logging never moves
 /// previously written events and never triggers a large reallocation spike
-/// mid-run.  Each shard owns a private log; after the run the Machine
-/// concatenates the shard logs and canonicalizes by a stable sort on
-/// (cycle, ordinal) — each (cycle, ordinal) pair is emitted by exactly one
-/// component living on exactly one shard, so within a group the concatenated
-/// order is already the emission order and the stable sort reproduces the
-/// single-threaded log byte for byte.
+/// mid-run.  After the run the Machine canonicalizes the log by a stable
+/// sort on (cycle, ordinal) — each (cycle, ordinal) pair is emitted by
+/// exactly one component, so within a group the push order is already the
+/// emission order and the sort is deterministic.
 #pragma once
 
 #include <cstdint>
@@ -175,12 +173,8 @@ public:
     /// All events in push order, flattened.
     [[nodiscard]] std::vector<Event> flatten() const;
 
-    /// Concatenates \p other's events after this log's (shard merge step 1).
-    void append_from(const EventLog& other);
-
-    /// Stable-sorts the log by (cycle, ordinal) into one chunk.  After
-    /// appending every shard's log, this reproduces the single-threaded
-    /// emission order exactly (see file comment).
+    /// Stable-sorts the log by (cycle, ordinal) into one chunk (see file
+    /// comment).
     void canonicalize();
 
     /// Snapshot every event in push order, field by field (Event has

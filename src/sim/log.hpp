@@ -41,10 +41,9 @@ public:
         return static_cast<int>(level) <= static_cast<int>(level_);
     }
 
-    /// Emits one line: "[cycle] component: message".  Serialised: shards of
-    /// a multi-threaded run share one Logger, so concurrent emits must not
-    /// interleave inside the sink (line order across shards is host-timing
-    /// dependent either way; simulated results never are).
+    /// Emits one line: "[cycle] component: message".  Serialised: machines
+    /// run by different host threads (serve's worker pool) may share one
+    /// sink, so concurrent emits must not interleave inside it.
     void log(LogLevel level, Cycle cycle, std::string_view component,
              std::string_view message) const {
         if (!enabled(level) || !sink_) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/check.hpp"
 #include "sim/snapshot.hpp"
 
 namespace dta::sim {
@@ -54,35 +53,6 @@ double Histogram::percentile(double p) const {
                           static_cast<double>(max_));
     }
     return static_cast<double>(max_);
-}
-
-void Histogram::merge(const Histogram& other) {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-        buckets_[b] += other.buckets_[b];
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-void GaugeSeries::merge_add(const GaugeSeries& other) {
-    if (other.samples_.empty()) {
-        return;
-    }
-    if (samples_.empty()) {
-        *this = other;
-        return;
-    }
-    DTA_CHECK_MSG(samples_.size() == other.samples_.size(),
-                  "gauge merge: shard series lengths differ");
-    max_ = 0;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        DTA_CHECK_MSG(samples_[i].cycle == other.samples_[i].cycle,
-                      "gauge merge: shard series sampled at different cycles");
-        samples_[i].value += other.samples_[i].value;
-        max_ = std::max(max_, samples_[i].value);
-    }
 }
 
 void Histogram::save_state(StateSink& s) const {
@@ -155,18 +125,6 @@ void MetricsRegistry::load_state(StateSource& s) {
     for (std::uint64_t i = 0; i < ng; ++i) {
         const std::string name = s.str();
         gauges_[name].load_state(s);
-    }
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-    for (const auto& [name, c] : other.counters_) {
-        counters_[name].value += c.value;
-    }
-    for (const auto& [name, h] : other.histograms_) {
-        histograms_[name].merge(h);
-    }
-    for (const auto& [name, g] : other.gauges_) {
-        gauges_[name].merge_add(g);
     }
 }
 

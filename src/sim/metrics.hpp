@@ -63,9 +63,6 @@ public:
     /// clamped to [min, max], so p=0 and p=100 are exact.
     [[nodiscard]] double percentile(double p) const;
 
-    /// Folds \p other into this histogram (for cross-run aggregation).
-    void merge(const Histogram& other);
-
     [[nodiscard]] const std::array<std::uint64_t, kBuckets>& buckets() const {
         return buckets_;
     }
@@ -110,12 +107,6 @@ public:
         return samples_.empty() ? 0 : samples_.back().value;
     }
 
-    /// Point-wise sum with \p other (shard-local series of the same gauge,
-    /// sampled at identical cycles).  Requires cycle-aligned series of
-    /// equal length unless one side is empty; max_ is recomputed from the
-    /// summed values, matching what sampling the sums would have produced.
-    void merge_add(const GaugeSeries& other);
-
     void save_state(StateSink& s) const;
     void load_state(StateSource& s);
 
@@ -141,13 +132,6 @@ public:
     [[nodiscard]] Counter* counter(const std::string& name);
     [[nodiscard]] Histogram* histogram(const std::string& name);
     [[nodiscard]] GaugeSeries* gauge(const std::string& name);
-
-    /// Folds a shard-local registry into this one: counters add, histograms
-    /// merge, gauge series sum point-wise.  The result is bit-identical to
-    /// what one shared registry would have collected, because every
-    /// instrument's merge is order-independent (commutative sums) and the
-    /// shards sample gauges at identical, aligned cycles.
-    void merge_from(const MetricsRegistry& other);
 
     // Sorted, deterministic iteration for exporters.
     [[nodiscard]] const std::map<std::string, Counter>& counters() const {

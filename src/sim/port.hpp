@@ -19,11 +19,9 @@
 
 #include "sim/check.hpp"
 #include "sim/fifo.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dta::sim {
-
-class StateSink;
-class StateSource;
 
 /// Wake sink for the event-driven scheduler (sim/wheel.hpp): a `Port<T>`
 /// with a waker bound reports every push so the scheduler can re-arm the

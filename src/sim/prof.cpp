@@ -11,9 +11,6 @@ const char* prof_phase_name(ProfPhase p) {
         case ProfPhase::kNextActivity: return "next_activity";
         case ProfPhase::kQuiescence: return "quiescence";
         case ProfPhase::kFastforwardScan: return "fastforward_scan";
-        case ProfPhase::kBarrierWait: return "barrier_wait";
-        case ProfPhase::kChannelSerialize: return "channel_serialize";
-        case ProfPhase::kChannelDrain: return "channel_drain";
         case ProfPhase::kAudit: return "audit";
         case ProfPhase::kSample: return "sample";
         case ProfPhase::kWheelPop: return "wheel_pop";
@@ -130,12 +127,11 @@ std::string HostProfile::table(std::size_t top) const {
     return out;
 }
 
-void merge_prof_buffer(HostProfile& out, std::uint32_t shard,
-                       const std::string& shard_name, const ProfBuffer& buf,
+void merge_prof_buffer(HostProfile& out, const ProfBuffer& buf,
                        const std::vector<std::string>& component_names) {
     out.enabled = true;
     HostProfileShard rollup;
-    rollup.name = shard_name;
+    rollup.name = "shard0";
     rollup.wall_ns = buf.wall_ns();
     rollup.samples = buf.snapshots();
     const auto& rows = buf.rows();
@@ -147,7 +143,6 @@ void merge_prof_buffer(HostProfile& out, std::uint32_t shard,
                 continue;
             }
             HostProfileEntry e;
-            e.shard = shard;
             e.component = r == ProfBuffer::kShardSlot
                               ? "-"
                               : component_names[r - 1];

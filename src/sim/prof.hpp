@@ -3,25 +3,25 @@
 ///
 /// PR 1/4 made the simulated machine observable; this layer does the same
 /// for the simulator itself.  Host nanoseconds are attributed per
-/// (shard, component, phase) — which shard spent how long ticking pe3,
-/// scanning horizons, waiting at the epoch barrier, serialising cross-shard
-/// packets — exactly the data an event-driven scheduler core or a sweep
-/// scheduler needs before it can be designed or validated.
+/// (component, phase) — how long ticking pe3 took, how long scanning
+/// horizons or re-arming the wheel — exactly the data an event-driven
+/// scheduler core or a sweep scheduler needs before it can be designed or
+/// validated.
 ///
 /// Design rules, in priority order:
 ///  1. **Off is free.**  Every instrumentation site is guarded by one null
-///     check on a shard-local ProfBuffer pointer; no clock is read.
+///     check on the machine's ProfBuffer pointer; no clock is read.
 ///  2. **On is neutral.**  Profiling only reads the host clock; it never
 ///     touches simulated state, so RunResult (minus its host_profile
 ///     section) is byte-identical with profiling on or off.
-///  3. **Exclusive attribution.**  Scopes nest (a Link serialising into a
-///     cross-shard channel inside its own tick); a child's time is
-///     subtracted from its enclosing scope so phase totals add up — per
-///     shard they sum to the shard's measured wall clock minus loop
-///     control, which the coverage figure reports honestly.
+///  3. **Exclusive attribution.**  Scopes nest (a wake-path wheel insert
+///     inside a producer's tick); a child's time is subtracted from its
+///     enclosing scope so phase totals add up — they sum to the run's
+///     measured wall clock minus loop control, which the coverage figure
+///     reports honestly.
 ///
-/// Buffers are strictly shard-local (each host thread writes only its own)
-/// and merged deterministically after the join, like PR 3's metrics.
+/// The reports keep the historical "shard" vocabulary: the run loop is
+/// reported as the single row `shard0` (see HostProfile).
 #pragma once
 
 #include <array>
@@ -35,27 +35,24 @@
 namespace dta::sim {
 
 /// Where a host nanosecond was spent.  kTick is attributed per component;
-/// the rest describe the run loop itself and land on the shard row.
+/// the rest describe the run loop itself and land on the loop row.
 enum class ProfPhase : std::uint8_t {
-    kTick,              ///< inside a Component::tick call
-    kNextActivity,      ///< the idle-horizon scan across components
-    kQuiescence,        ///< the per-cycle quiescence sweep
-    kFastforwardScan,   ///< skip() bookkeeping over a fast-forwarded span
-    kBarrierWait,       ///< blocked at the epoch barrier (sharded runs)
-    kChannelSerialize,  ///< publishing packets into cross-shard channels
-    kChannelDrain,      ///< draining inbound cross-shard channels
-    kAudit,             ///< invariant audit sweeps
-    kSample,            ///< gauge sampling / metrics snapshots
-    kWheelPop,          ///< collecting the due set from the timing wheel
-    kWheelInsert,       ///< wheel enqueues from wakes and external re-arms
-    kRearm,             ///< post-tick horizon query + reschedule
+    kTick,             ///< inside a Component::tick call
+    kNextActivity,     ///< the idle-horizon scan across components
+    kQuiescence,       ///< the per-cycle quiescence sweep
+    kFastforwardScan,  ///< skip() bookkeeping over a fast-forwarded span
+    kAudit,            ///< invariant audit sweeps
+    kSample,           ///< gauge sampling / metrics snapshots
+    kWheelPop,         ///< collecting the due set from the timing wheel
+    kWheelInsert,      ///< wheel enqueues from wakes
+    kRearm,            ///< post-tick horizon query + reschedule
     kCount
 };
 
 inline constexpr std::size_t kNumProfPhases =
     static_cast<std::size_t>(ProfPhase::kCount);
 
-/// Stable lower-case name ("tick", "barrier_wait", ...) used in reports.
+/// Stable lower-case name ("tick", "wheel_pop", ...) used in reports.
 [[nodiscard]] const char* prof_phase_name(ProfPhase p);
 
 /// Monotonic host clock in nanoseconds.
@@ -81,9 +78,9 @@ struct ProfSnapshot {
 
 class ProfScope;
 
-/// One shard's (host thread's) accumulation buffer.  Row 0 is the shard
-/// itself (loop phases); row i + 1 is the shard's i-th component.  Strictly
-/// single-threaded: only the owning host thread may touch it mid-run.
+/// The run's accumulation buffer.  Row 0 is the run loop itself (loop
+/// phases); row i + 1 is the machine's i-th component.  Not thread-safe:
+/// only the thread running the machine may touch it mid-run.
 class ProfBuffer {
 public:
     static constexpr std::uint32_t kShardSlot = 0;
@@ -91,11 +88,11 @@ public:
     ProfBuffer() = default;
     ProfBuffer(const ProfBuffer&) = delete;
     ProfBuffer& operator=(const ProfBuffer&) = delete;
-    ProfBuffer(ProfBuffer&&) = default;
-    ProfBuffer& operator=(ProfBuffer&&) = default;
+    ProfBuffer(ProfBuffer&&) = delete;
+    ProfBuffer& operator=(ProfBuffer&&) = delete;
 
     /// Sizes the buffer for \p num_components component rows (plus the
-    /// shard row).  Must be called before any add().
+    /// loop row).  Must be called before any add().
     void reset(std::size_t num_components) {
         rows_.assign(num_components + 1, {});
     }
@@ -108,8 +105,8 @@ public:
     }
 
     /// Time spent in scopes that opened with no enclosing scope (e.g. a
-    /// channel-serialize scope inside a manually-timed component tick).
-    /// The manual timer subtracts it to keep attribution exclusive.
+    /// wheel-insert scope inside a manually-timed component tick).  The
+    /// manual timer subtracts it to keep attribution exclusive.
     [[nodiscard]] std::uint64_t take_orphan_child_ns() {
         const std::uint64_t v = orphan_child_ns_;
         orphan_child_ns_ = 0;
@@ -191,16 +188,18 @@ private:
 // Merged result (travels inside RunResult)
 // ---------------------------------------------------------------------------
 
-/// One (shard, component, phase) line of the merged profile.
+/// One (shard, component, phase) line of the profile.  The shard index is
+/// always 0 (the run loop's single row).
 struct HostProfileEntry {
     std::uint32_t shard = 0;
-    std::string component;  ///< "-" for shard-level (loop) phases
+    std::string component;  ///< "-" for loop phases
     ProfPhase phase = ProfPhase::kTick;
     std::uint64_t ns = 0;
     std::uint64_t calls = 0;
 };
 
-/// Per-shard rollup: wall clock, per-phase totals, and the sampled series.
+/// The run loop's rollup (named "shard0" in reports): wall clock,
+/// per-phase totals, and the sampled series.
 struct HostProfileShard {
     std::string name;
     std::uint64_t wall_ns = 0;
@@ -214,7 +213,7 @@ struct HostProfileShard {
 /// A finished run's host-side profile (empty / disabled by default).
 struct HostProfile {
     bool enabled = false;
-    std::vector<HostProfileShard> shards;
+    std::vector<HostProfileShard> shards;  ///< one row, "shard0", when enabled
     /// Per-(shard, component, phase) lines with ns > 0, sorted by
     /// (shard, component, phase) — a deterministic order for reports.
     std::vector<HostProfileEntry> entries;
@@ -223,14 +222,14 @@ struct HostProfile {
     [[nodiscard]] std::uint64_t total_wall_ns() const;
 
     /// Formats the sorted self-time table `dta_run --prof` prints: entries
-    /// by descending ns (top \p top rows), then per-shard coverage lines.
+    /// by descending ns (top \p top rows), then the coverage line.
     [[nodiscard]] std::string table(std::size_t top = 30) const;
 };
 
-/// Folds one shard's buffer into the merged profile.  \p component_names
-/// must align with the buffer's component rows (row i + 1 = name i).
-void merge_prof_buffer(HostProfile& out, std::uint32_t shard,
-                       const std::string& shard_name, const ProfBuffer& buf,
+/// Folds the run's buffer into \p out as the row "shard0".
+/// \p component_names must align with the buffer's component rows (row
+/// i + 1 = name i).
+void merge_prof_buffer(HostProfile& out, const ProfBuffer& buf,
                        const std::vector<std::string>& component_names);
 
 }  // namespace dta::sim

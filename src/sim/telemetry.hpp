@@ -16,14 +16,12 @@
 ///    byte-identical with telemetry on or off
 ///    (tests/integration/telemetry_neutrality_test.cpp).
 ///  * **Deterministic.**  The simulated fields of a frame are sampled at
-///    aligned cycles in every run-loop mode — post-tick of each sample
-///    cycle in the dense and wheel loops, replayed over fast-forwarded
-///    spans (state is frozen there by the horizon contract), and at
-///    epoch-barrier cuts with every shard parked under the sharded loop —
-///    so the frame sequence is byte-identical across host thread counts
-///    and wheel on/off.  Host-side fields (wall-clock rate, wheel
-///    occupancy) ride only the NDJSON stream, never the JSON report,
-///    exactly like `RunResult::wheel`.
+///    aligned cycles in both run loops — post-tick of each sample cycle in
+///    the dense and wheel loops, replayed over fast-forwarded spans (state
+///    is frozen there by the horizon contract) — so the frame sequence is
+///    byte-identical with the wheel on or off.  Host-side fields
+///    (wall-clock rate, wheel occupancy) ride only the NDJSON stream, never
+///    the JSON report, exactly like `RunResult::wheel`.
 ///
 /// The watchdog runs on the same frames: if the machine-wide activity
 /// fingerprint is frozen for `watchdog_samples` consecutive samples while
@@ -60,8 +58,8 @@ struct TelemetryConfig {
 };
 
 /// One machine-wide sample.  The fields up to and including
-/// `activity_fp` are simulated values — deterministic across host thread
-/// counts and wheel on/off, and the only fields the JSON run report
+/// `activity_fp` are simulated values — deterministic with the wheel on
+/// or off, and the only fields the JSON run report
 /// serialises.  The `host_*` / `wheel_*` tail describes the *simulator*
 /// (like `RunResult::wheel`) and rides only the NDJSON stream and the
 /// Perfetto host tracks.
@@ -109,9 +107,8 @@ struct TelemetryResult {
 /// one and calls `record()` with a fully-populated frame at each sample
 /// cycle; all capture (reading component state) stays in the machine,
 /// which knows the topology.  Thread-safety contract: `record()` is only
-/// ever called with the machine externally synchronised — from the
-/// single-threaded run loops, or from the epoch coordinator's completion
-/// step with every shard parked in the barrier — so no locking is needed.
+/// ever called from the thread running the machine, so no locking is
+/// needed.
 class TelemetrySampler {
 public:
     /// \p stall_info, when set, supplies the machine-level parts of the

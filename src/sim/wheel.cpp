@@ -7,26 +7,6 @@
 
 namespace dta::sim {
 
-void WheelStats::merge_from(const WheelStats& o, std::uint32_t shard) {
-    enabled = enabled || o.enabled;
-    pops += o.pops;
-    inserts += o.inserts;
-    rearms += o.rearms;
-    wakes += o.wakes;
-    active_cycles += o.active_cycles;
-    dense_cycles += o.dense_cycles;
-    peak_occupancy = std::max(peak_occupancy, o.peak_occupancy);
-    for (Sample s : o.samples) {
-        s.shard = shard;
-        samples.push_back(s);
-    }
-    std::stable_sort(samples.begin(), samples.end(),
-                     [](const Sample& a, const Sample& b) {
-                         return a.cycle != b.cycle ? a.cycle < b.cycle
-                                                   : a.shard < b.shard;
-                     });
-}
-
 // ---------------------------------------------------------------------------
 // TimingWheel
 
@@ -270,16 +250,6 @@ void WheelScheduler::wake(std::uint32_t component) {
     } else {
         arm(component, at);
     }
-}
-
-void WheelScheduler::wake_at(std::uint32_t component, Cycle at) {
-    if (due_[component] <= at) {
-        return;
-    }
-    ++stats_.wakes;
-    const ProfScope prof(pb_, ProfBuffer::kShardSlot,
-                         ProfPhase::kWheelInsert);
-    arm(component, at);
 }
 
 void WheelScheduler::drain_lane(Cycle at) {

@@ -71,16 +71,12 @@ struct WheelStats {
     /// machine's gauge cadence.
     struct Sample {
         Cycle cycle = 0;
-        std::uint32_t shard = 0;
+        std::uint32_t shard = 0;  ///< always 0 (trace track "shard0/...")
         std::uint64_t occupancy = 0;  ///< components armed (finite due)
         std::uint64_t pops = 0;       ///< cumulative pops at this cycle
         std::uint64_t inserts = 0;    ///< cumulative inserts at this cycle
     };
     std::vector<Sample> samples;
-
-    /// Folds shard \p shard's stats in (counters add; samples concatenate
-    /// and are re-sorted by (cycle, shard) for a deterministic merge).
-    void merge_from(const WheelStats& o, std::uint32_t shard);
 
     /// Average components visited per accounted cycle (the headline ratio:
     /// dense ticking visits N on every cycle).
@@ -147,10 +143,8 @@ private:
     std::size_t l1_count_ = 0;
 };
 
-/// Per-run-loop scheduler: owns the due/accounting cursors for an ordered
-/// component list and drives visits through the wheel.  One instance per
-/// run loop — the single-threaded Machine or one per Shard — so wakes never
-/// cross host threads.
+/// Per-machine scheduler: owns the due/accounting cursors for an ordered
+/// component list and drives visits through the wheel.
 class WheelScheduler final : public Waker {
 public:
     /// Binds the scheduler to \p components (the run loop's scheduler list,
@@ -190,13 +184,9 @@ public:
     std::uint32_t run_cycle(Cycle at, ProfBuffer* pb, std::uint64_t& t);
 
     /// Bulk-accounts [acct_i, to) on every component lagging behind \p to —
-    /// the run loop's final catch-up (and the sharded loop's epoch-end
-    /// catch-up).  After this every component has accounted [0, to).
+    /// the run loop's final catch-up (and the one before a checkpoint or a
+    /// stop-at cut).  After this every component has accounted [0, to).
     void catch_up(Cycle to);
-
-    /// External re-arm at an absolute cycle (inbound cross-shard channel
-    /// entries peeked at run_until entry).  Unlike wake(), never same-cycle.
-    void wake_at(std::uint32_t component, Cycle at);
 
     /// Waker: inbound traffic landed in \p component's queue.  Joins the
     /// current cycle when the dense order still permits it (producer index

@@ -95,7 +95,7 @@ CritPathReport analyze(const sim::EventFile& file) {
 
     // ---- pass 1: threads, segments, and edge matching -------------------
     // FIFO matching keyed on exactly the payload both endpoints carry, so
-    // reordered interleavings (different shard counts) match identically.
+    // reordered interleavings match identically.
     std::map<std::uint64_t, Thread> threads;
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::deque<std::size_t>>
         store_fifo;  ///< (producer uid, packed dest) -> kStoreIssue idxs

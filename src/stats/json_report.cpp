@@ -223,10 +223,9 @@ std::string run_report_json(const core::RunResult& r,
     // neutrality guarantee telemetry_neutrality_test pins down).  Only
     // simulated-state fields are serialised — host_ns and the wheel
     // counters, like RunResult::wheel itself, are host-rate and would break
-    // byte-identity across wheel modes and thread counts.  The stall record
-    // likewise carries only its deterministic scalars: the component list
-    // and replay hint embed shard annotations that depend on the thread
-    // count, so they go to the diagnostic stream and NDJSON only.
+    // byte-identity across wheel modes.  The stall record likewise carries
+    // only its scalars: the component list and the replay hint (which
+    // embeds a snapshot path) go to the diagnostic stream and NDJSON only.
     if (r.telemetry.enabled) {
         os << "  \"telemetry\": {\n    \"interval\": " << r.telemetry.interval
            << ",\n    \"captured\": " << r.telemetry.captured

@@ -68,11 +68,10 @@ TEST(Audit, CleanRunVirtualFramesAndPrefetch) {
     EXPECT_TRUE(gen.check(m.memory(), &why)) << why;
 }
 
-TEST(Audit, CleanRunSharded) {
+TEST(Audit, CleanRunMultiNode) {
     const auto gen = make_gen(14);
     auto cfg = test::tiny_config(2);
     cfg.nodes = 3;
-    cfg.host_threads = 3;
     cfg.audit.enabled = true;
     cfg.audit.interval = 1;
     (void)run_checked(gen, cfg);
@@ -147,13 +146,12 @@ TEST(Audit, InjectedViolationCarriesThreadUid) {
     }
 }
 
-TEST(Audit, InjectedViolationSurfacesFromShardedRun) {
-    // Machine-wide checks run after the worker threads join; the error must
-    // still propagate out of run() on the calling thread.
+TEST(Audit, InjectedViolationSurfacesFromMultiNodeRun) {
+    // A failing check on a machine with inter-node links must still
+    // propagate out of run().
     const auto gen = make_gen(19);
     auto cfg = test::tiny_config(2);
     cfg.nodes = 2;
-    cfg.host_threads = 2;
     cfg.audit.enabled = true;
     Machine m(cfg, gen.program());
     m.auditor().add("custom", [](const sim::AuditCtx& ctx) {

@@ -216,6 +216,22 @@ TEST(Machine, DoubleLaunchRejected) {
     EXPECT_THROW(m.launch({}), sim::SimError);
 }
 
+TEST(Machine, HostThreadsOtherThanOneRejected) {
+    // A machine always runs on one host thread; the retired knob fails
+    // with one line that names it.
+    auto cfg = tiny_config(1);
+    cfg.nodes = 4;
+    cfg.host_threads = 4;
+    try {
+        const core::Machine m(cfg, fanout_program(1));
+        FAIL() << "expected sim::SimError";
+    } catch (const sim::SimError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("host_threads"), std::string::npos) << msg;
+        EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    }
+}
+
 TEST(Machine, OverStoringFrameFaults) {
     isa::Program prog;
     isa::CodeBuilder w("leaf", 1);

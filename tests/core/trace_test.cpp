@@ -274,8 +274,8 @@ TEST(ChromeTrace, HostProfileTracksWhenEnabled) {
               std::string::npos);
     EXPECT_NE(json.find(R"("ts": 256, "pid": 3, "args": {"value": 400})"),
               std::string::npos);
-    // Phases the shard never touched get no track.
-    EXPECT_EQ(json.find("barrier_wait"), std::string::npos);
+    // Phases the run never touched get no track.
+    EXPECT_EQ(json.find("quiescence"), std::string::npos);
 }
 
 TEST(ChromeTrace, DisabledHostProfileMatchesFlowVariant) {

@@ -3,7 +3,7 @@
 // == host-side replica) and the machine-wide invariant audits run on every
 // CI build without any randomness.  Each seed runs on a machine shape
 // chosen by the seed itself, cycling through the baseline, a frame-starved
-// virtual-frames machine, a sharded two-node machine, and a prefetch-pass
+// virtual-frames machine, a two-node machine, and a prefetch-pass
 // variant.
 #include <gtest/gtest.h>
 
@@ -27,14 +27,13 @@ struct Shape {
     std::uint32_t frames;
     bool vfp;
     bool prefetch;
-    std::uint32_t host_threads;
 };
 
 constexpr Shape kShapes[] = {
-    {"baseline", 1, 2, 16, false, false, 1},
-    {"starved-vfp", 1, 2, 6, true, false, 1},
-    {"sharded", 2, 2, 16, false, false, 2},
-    {"prefetch", 1, 4, 16, false, true, 1},
+    {"baseline", 1, 2, 16, false, false},
+    {"starved-vfp", 1, 2, 6, true, false},
+    {"two-node", 2, 2, 16, false, false},
+    {"prefetch", 1, 4, 16, false, true},
 };
 constexpr std::uint32_t kStaging = 1024;
 
@@ -69,7 +68,6 @@ TEST_P(FuzzCorpus, MachineMatchesInterpreterWithAuditsOn) {
     cfg.nodes = shape.nodes;
     cfg.lse = sched::LseConfig::with(shape.frames, kStaging);
     cfg.lse.virtual_frames = shape.vfp;
-    cfg.host_threads = shape.host_threads;
     cfg.audit.enabled = true;
     cfg.audit.interval = 1;
     const isa::Program prog =
@@ -122,7 +120,6 @@ TEST_P(WheelCorpus, WheelRunReportMatchesDense) {
         cfg.nodes = shape.nodes;
         cfg.lse = sched::LseConfig::with(shape.frames, kStaging);
         cfg.lse.virtual_frames = shape.vfp;
-        cfg.host_threads = shape.host_threads;
         cfg.use_wheel = use_wheel;
         // Sampled gauges exercise the wheel's skip-span sample replay.
         cfg.collect_metrics = true;

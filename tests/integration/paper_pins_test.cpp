@@ -1,0 +1,127 @@
+// Exact results of the paper kernels, pinned.  Each of dta_bench's six ci
+// cases (mmul, zoom and bitcnt, original and prefetch variants, with
+// build_registry's parameters) must reproduce its simulated cycle count
+// and the cycle total of every breakdown bucket exactly.  Every case runs
+// on the paper's shape (one node of 8 SPEs; the cycles match
+// bench/baseline/BENCH_baseline.json) and again on a 4-node x 2-SPE
+// machine, which exercises the inter-node ring links and routers.
+//
+// A change to the simulator that moves any of these numbers changes the
+// paper's results; update a row only together with EXPERIMENTS.md.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <ostream>
+#include <string>
+
+#include "core/machine.hpp"
+#include "workloads/bitcnt.hpp"
+#include "workloads/harness.hpp"
+#include "workloads/mmul.hpp"
+#include "workloads/zoom.hpp"
+
+namespace dta::workloads {
+namespace {
+
+using Buckets = std::array<std::uint64_t, core::kNumBuckets>;
+
+enum class Kernel { kMmul, kZoom, kBitcnt };
+
+struct Pin {
+    const char* name;  ///< "<kernel>_<variant>_<nodes>x<spes>"
+    Kernel kernel;
+    bool prefetch;
+    std::uint16_t nodes;
+    std::uint16_t spes_per_node;
+    std::uint64_t cycles;
+    /// Working, Idle, MemoryStalls, LSStalls, LSEStalls, Prefetching,
+    /// PipelineStalls (core::CycleBucket order), summed over every SPE.
+    Buckets buckets;
+};
+
+const Pin kPins[] = {
+    {"mmul_orig_1x8", Kernel::kMmul, false, 1, 8, 91513,
+     {25223, 5270, 671764, 16, 478, 0, 29353}},
+    {"mmul_pf_1x8", Kernel::kMmul, true, 1, 8, 9570,
+     {27271, 5591, 0, 10256, 601, 3488, 29353}},
+    {"zoom_orig_1x8", Kernel::kZoom, false, 1, 8, 22712,
+     {6183, 5752, 166266, 32, 478, 0, 2985}},
+    {"zoom_pf_1x8", Kernel::kZoom, true, 1, 8, 2671,
+     {6183, 6255, 0, 32, 546, 5367, 2985}},
+    {"bitcnt_orig_1x8", Kernel::kBitcnt, false, 1, 8, 532086,
+     {249782, 260747, 3356179, 24966, 194483, 0, 170531}},
+    {"bitcnt_pf_1x8", Kernel::kBitcnt, true, 1, 8, 271326,
+     {249782, 93459, 1343745, 94598, 202554, 15939, 170531}},
+    {"mmul_orig_4x2", Kernel::kMmul, false, 4, 2, 363803,
+     {25223, 2183628, 671744, 16, 460, 0, 29353}},
+    {"mmul_pf_4x2", Kernel::kMmul, true, 4, 2, 34539,
+     {27271, 208016, 0, 10256, 564, 852, 29353}},
+    {"zoom_orig_4x2", Kernel::kZoom, false, 4, 2, 88199,
+     {6183, 530036, 165896, 32, 460, 0, 2985}},
+    {"zoom_pf_4x2", Kernel::kZoom, true, 4, 2, 5501,
+     {6183, 33737, 0, 32, 572, 499, 2985}},
+    {"bitcnt_orig_4x2", Kernel::kBitcnt, false, 4, 2, 2012112,
+     {249782, 12118265, 3354866, 24966, 178486, 0, 170531}},
+    {"bitcnt_pf_4x2", Kernel::kBitcnt, true, 4, 2, 1041123,
+     {249782, 6275563, 1343523, 94598, 186795, 8192, 170531}},
+};
+
+/// Reshapes a workload's paper machine (built for 8 SPEs) to the pin's
+/// node and SPE counts; every other knob stays as the workload sets it.
+core::MachineConfig shaped(core::MachineConfig cfg, const Pin& pin) {
+    cfg.nodes = pin.nodes;
+    cfg.spes_per_node = pin.spes_per_node;
+    return cfg;
+}
+
+/// Runs the pin's case with dta_bench's ci-scale parameters.
+RunOutcome run_pin(const Pin& pin) {
+    switch (pin.kernel) {
+        case Kernel::kMmul: {
+            MatMul::Params p;
+            p.n = 16;
+            p.threads = 16;
+            return run_workload(MatMul(p),
+                                shaped(MatMul::machine_config(8), pin),
+                                pin.prefetch);
+        }
+        case Kernel::kZoom: {
+            Zoom::Params p;
+            p.n = 16;
+            p.factor = 4;
+            p.threads = 16;
+            return run_workload(Zoom(p), shaped(Zoom::machine_config(8), pin),
+                                pin.prefetch);
+        }
+        case Kernel::kBitcnt: {
+            BitCount::Params p;
+            p.iterations = 1024;
+            return run_workload(BitCount(p),
+                                shaped(BitCount::machine_config(8), pin),
+                                pin.prefetch);
+        }
+    }
+    return {};
+}
+
+/// gtest names the failing parameter with this instead of a byte dump.
+void PrintTo(const Pin& pin, std::ostream* os) { *os << pin.name; }
+
+class PaperPins : public ::testing::TestWithParam<Pin> {};
+
+TEST_P(PaperPins, ExactCyclesAndBreakdown) {
+    const Pin& pin = GetParam();
+    const RunOutcome out = run_pin(pin);
+    ASSERT_TRUE(out.correct) << out.detail;
+    EXPECT_EQ(out.result.cycles, pin.cycles);
+    EXPECT_EQ(out.result.total_breakdown().cycles, pin.buckets);
+}
+
+INSTANTIATE_TEST_SUITE_P(CiCases, PaperPins, ::testing::ValuesIn(kPins),
+                         [](const ::testing::TestParamInfo<Pin>& info) {
+                             return std::string(info.param.name);
+                         });
+
+}  // namespace
+}  // namespace dta::workloads

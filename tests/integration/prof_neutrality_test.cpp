@@ -1,8 +1,8 @@
 // The host-time profiler must be a pure observer: with profiling on, the
 // run's fingerprint — cycle count, spans, DMA spans, event log, and the
 // JSON run report minus its host_profile section — is byte-identical to
-// the profiling-off run, for every host-thread count.  And the profile it
-// produces must actually account for the shard's wall clock.
+// the profiling-off run.  And the profile it produces must actually
+// account for the run's wall clock.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -27,8 +27,7 @@ struct Fingerprint {
 
 template <typename Workload>
 Fingerprint run_fp(const Workload& w, MachineConfig cfg, bool prefetch,
-                   std::uint32_t threads, bool profile) {
-    cfg.host_threads = threads;
+                   bool profile) {
     cfg.capture_spans = true;
     cfg.collect_metrics = true;
     cfg.collect_events = true;
@@ -46,9 +45,7 @@ Fingerprint run_fp(const Workload& w, MachineConfig cfg, bool prefetch,
             stats::run_report_json(stripped, "neutrality"), ev.str()};
 }
 
-void expect_same_fingerprint(const Fingerprint& off, const Fingerprint& on,
-                             std::uint32_t threads) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+void expect_same_fingerprint(const Fingerprint& off, const Fingerprint& on) {
     EXPECT_EQ(off.res.cycles, on.res.cycles);
     EXPECT_EQ(off.json, on.json)
         << "JSON run report (minus host_profile) differs";
@@ -57,35 +54,21 @@ void expect_same_fingerprint(const Fingerprint& off, const Fingerprint& on,
     EXPECT_EQ(off.res.dma_spans.size(), on.res.dma_spans.size());
 }
 
-/// The profile must exist, cover (nearly) all of each shard's wall clock,
-/// and time every phase family the run loop exercises.  The chained
-/// charging in the run loops leaves no un-attributed gaps, so coverage is
-/// >= 98.7 % even with host threads oversubscribed; the 0.9 floor leaves
-/// headroom only for a preemption landing in the few-instruction window
-/// between a barrier and the next chain start.
-void expect_profile_sane(const sim::HostProfile& host,
-                         std::uint32_t threads) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+/// The profile must exist as the single "shard0" row, cover (nearly) all
+/// of the run's wall clock, and time every phase family the run loop
+/// exercises.  The chained charging in the run loops leaves no
+/// un-attributed gaps; the 0.9 coverage floor leaves headroom only for a
+/// preemption landing between two chain links.
+void expect_profile_sane(const sim::HostProfile& host) {
     ASSERT_TRUE(host.enabled);
-    ASSERT_EQ(host.shards.size(), threads);
+    ASSERT_EQ(host.shards.size(), 1u);
+    const sim::HostProfileShard& s = host.shards[0];
+    EXPECT_EQ(s.name, "shard0");
     EXPECT_FALSE(host.entries.empty());
-    for (const sim::HostProfileShard& s : host.shards) {
-        EXPECT_GT(s.wall_ns, 0u) << s.name;
-        EXPECT_GT(s.coverage(), 0.9) << s.name;
-        EXPECT_LE(s.coverage(), 1.05) << s.name;  // cannot over-account
-        EXPECT_GT(s.phase_ns[static_cast<std::size_t>(
-                      sim::ProfPhase::kTick)],
-                  0u)
-            << s.name;
-    }
-    if (threads > 1) {
-        std::uint64_t barrier = 0;
-        for (const sim::HostProfileShard& s : host.shards) {
-            barrier += s.phase_ns[static_cast<std::size_t>(
-                sim::ProfPhase::kBarrierWait)];
-        }
-        EXPECT_GT(barrier, 0u) << "sharded run never waited at a barrier";
-    }
+    EXPECT_GT(s.wall_ns, 0u);
+    EXPECT_GT(s.coverage(), 0.9);
+    EXPECT_LE(s.coverage(), 1.05);  // cannot over-account
+    EXPECT_GT(s.phase_ns[static_cast<std::size_t>(sim::ProfPhase::kTick)], 0u);
 }
 
 template <typename Workload>
@@ -94,15 +77,12 @@ void check_neutral(const Workload& w, MachineConfig cfg) {
     cfg.spes_per_node = 2;
     for (const bool prefetch : {false, true}) {
         SCOPED_TRACE(prefetch ? "prefetch" : "original");
-        for (const std::uint32_t threads : {1u, 2u, 4u}) {
-            const Fingerprint off = run_fp(w, cfg, prefetch, threads,
-                                           false);
-            EXPECT_FALSE(off.res.host_profile.enabled);
-            EXPECT_EQ(off.json.find("host_profile"), std::string::npos);
-            const Fingerprint on = run_fp(w, cfg, prefetch, threads, true);
-            expect_same_fingerprint(off, on, threads);
-            expect_profile_sane(on.res.host_profile, threads);
-        }
+        const Fingerprint off = run_fp(w, cfg, prefetch, false);
+        EXPECT_FALSE(off.res.host_profile.enabled);
+        EXPECT_EQ(off.json.find("host_profile"), std::string::npos);
+        const Fingerprint on = run_fp(w, cfg, prefetch, true);
+        expect_same_fingerprint(off, on);
+        expect_profile_sane(on.res.host_profile);
     }
 }
 

@@ -135,29 +135,29 @@ TEST_P(RandomDataflow, VirtualFramesChangeNothingButTiming) {
     }
 }
 
-TEST_P(RandomDataflow, ShardedRunMatchesSingleThread) {
-    // Random trees on a 3-node machine: every host-thread count must land
-    // on the same cycle count and the same memory image.
+TEST_P(RandomDataflow, ThreeNodeWheelMatchesDense) {
+    // Random trees on a 3-node machine: the wheel and the dense loop must
+    // land on the same cycle count and the same memory image.
     const Tree t = build_tree(GetParam());
     const std::vector<std::uint64_t> args = {GetParam() & 0xffff};
 
     sim::Cycle ref_cycles = 0;
-    for (const std::uint32_t threads : {1u, 2u, 3u}) {
+    for (const bool use_wheel : {false, true}) {
         auto cfg = test::tiny_config(2);
         cfg.nodes = 3;
-        cfg.host_threads = threads;
+        cfg.use_wheel = use_wheel;
         Machine machine(cfg, t.prog);
         machine.launch(args);
         const RunResult res = machine.run();
-        if (threads == 1) {
+        if (!use_wheel) {
             ref_cycles = res.cycles;
         } else {
-            EXPECT_EQ(res.cycles, ref_cycles) << "threads=" << threads;
+            EXPECT_EQ(res.cycles, ref_cycles);
         }
         for (std::uint32_t id = 0; id < t.nodes.size(); ++id) {
             EXPECT_EQ(machine.memory().read_u32(kOut + 4ull * id),
                       t.expected[id])
-                << "threads=" << threads << " node " << id;
+                << (use_wheel ? "wheel" : "dense") << " node " << id;
         }
     }
 }

@@ -4,7 +4,7 @@
 // the straight run — same cycle count, same spans and DMA spans, same
 // JSON run report, same DTAEV1 event log, same memory contents.  Each
 // paper workload is exercised in both program variants (original and
-// prefetch-pass), at host-thread counts 1, 2 and 4, with the timing wheel
+// prefetch-pass) on a 4-node x 2-SPE machine, with the timing wheel
 // on and off, resuming from snapshots at roughly the 25%, 50% and 75%
 // marks.  Invariant audits stay on throughout, so every restore is also
 // swept by the machine-wide auditor.  A final case checkpoints at fine
@@ -67,11 +67,9 @@ void expect_identical(const Captured& ref, const Captured& got) {
     }
 }
 
-MachineConfig cell_config(MachineConfig cfg, std::uint32_t threads,
-                          bool use_wheel) {
+MachineConfig cell_config(MachineConfig cfg, bool use_wheel) {
     cfg.nodes = 4;
     cfg.spes_per_node = 2;
-    cfg.host_threads = threads;
     cfg.use_wheel = use_wheel;
     cfg.capture_spans = true;
     cfg.collect_metrics = true;
@@ -89,11 +87,10 @@ std::string snap_path(const std::string& prefix, sim::Cycle cycle) {
 /// of which must also match it exactly.
 template <typename Workload>
 void check_cell(const Workload& w, const MachineConfig& base,
-                const std::string& tag, bool prefetch, std::uint32_t threads,
-                bool use_wheel) {
-    SCOPED_TRACE(tag + (prefetch ? "/pf" : "/orig") + "/t" +
-                 std::to_string(threads) + (use_wheel ? "/wheel" : "/dense"));
-    const MachineConfig cfg = cell_config(base, threads, use_wheel);
+                const std::string& tag, bool prefetch, bool use_wheel) {
+    SCOPED_TRACE(tag + (prefetch ? "/pf" : "/orig") +
+                 (use_wheel ? "/wheel" : "/dense"));
+    const MachineConfig cfg = cell_config(base, use_wheel);
     const isa::Program& prog = prefetch ? w.prefetch_program() : w.program();
 
     Captured ref;
@@ -112,8 +109,7 @@ void check_cell(const Workload& w, const MachineConfig& base,
     // observer must not perturb a single byte of the results.
     const sim::Cycle every = ref.res.cycles / 4;
     const std::string prefix = testing::TempDir() + "snapdet_" + tag +
-                               (prefetch ? "_pf" : "_orig") + "_t" +
-                               std::to_string(threads) +
+                               (prefetch ? "_pf" : "_orig") +
                                (use_wheel ? "_wheel" : "_dense");
     std::vector<sim::Cycle> cuts;
     {
@@ -149,16 +145,13 @@ void check_cell(const Workload& w, const MachineConfig& base,
     }
 }
 
-/// Full matrix for one workload: {orig, pf} x threads {1, 2, 4} x wheel
-/// {on, off}.
+/// Full matrix for one workload: {orig, pf} x wheel {on, off}.
 template <typename Workload>
 void check_all_cells(const Workload& w, const MachineConfig& base,
                      const std::string& tag) {
     for (const bool prefetch : {false, true}) {
-        for (const std::uint32_t threads : {1u, 2u, 4u}) {
-            for (const bool use_wheel : {true, false}) {
-                check_cell(w, base, tag, prefetch, threads, use_wheel);
-            }
+        for (const bool use_wheel : {true, false}) {
+            check_cell(w, base, tag, prefetch, use_wheel);
         }
     }
 }
@@ -197,7 +190,7 @@ TEST(SnapshotDeterminism, MidDmaCheckpoint) {
     p.threads = 16;
     const workloads::MatMul w(p);
     const MachineConfig cfg =
-        cell_config(workloads::MatMul::machine_config(8), 1, true);
+        cell_config(workloads::MatMul::machine_config(8), true);
     const isa::Program& prog = w.prefetch_program();
 
     Captured ref;
@@ -250,7 +243,7 @@ TEST(SnapshotDeterminism, MismatchedConfigOrProgramRejected) {
     p.iterations = 64;
     const workloads::BitCount w(p);
     const MachineConfig cfg =
-        cell_config(workloads::BitCount::machine_config(8), 1, true);
+        cell_config(workloads::BitCount::machine_config(8), true);
     const std::string path = testing::TempDir() + "snapdet_mismatch.dtasnap";
     {
         Machine m(cfg, w.program());
@@ -301,7 +294,7 @@ TEST(SnapshotDeterminism, LaunchCheckpointRoundTrip) {
     p.threads = 16;
     const workloads::Zoom w(p);
     const MachineConfig cfg =
-        cell_config(workloads::Zoom::machine_config(8), 2, true);
+        cell_config(workloads::Zoom::machine_config(8), true);
     const std::string path = testing::TempDir() + "snapdet_launch.dtasnap";
 
     Captured ref;
@@ -332,7 +325,7 @@ TEST(SnapshotDeterminism, StopAtProducesIdenticalPartialResults) {
     p.iterations = 128;
     const workloads::BitCount w(p);
     const MachineConfig cfg =
-        cell_config(workloads::BitCount::machine_config(8), 1, true);
+        cell_config(workloads::BitCount::machine_config(8), true);
 
     sim::Cycle total = 0;
     {

@@ -1,10 +1,9 @@
 // Live telemetry must be a pure observer: with telemetry on, the run's
 // fingerprint — cycle count, spans, DMA spans, event log, and the JSON run
 // report minus its telemetry section — is byte-identical to the
-// telemetry-off run, for every host-thread count and with the event-driven
-// scheduler on or off.  And the frames it captures must themselves be
-// deterministic: the same simulated timeline regardless of host threads or
-// wheel mode (frames ride aligned sample cycles in every run loop).
+// telemetry-off run, with the event-driven scheduler on or off.  And the
+// frames it captures must themselves be deterministic: the same simulated
+// timeline in either run loop (frames ride aligned sample cycles in both).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -46,8 +45,7 @@ std::string frames_key(const sim::TelemetryResult& t) {
 
 template <typename Workload>
 Fingerprint run_fp(const Workload& w, MachineConfig cfg, bool prefetch,
-                   std::uint32_t threads, bool use_wheel, bool telemetry) {
-    cfg.host_threads = threads;
+                   bool use_wheel, bool telemetry) {
     cfg.use_wheel = use_wheel;
     cfg.capture_spans = true;
     cfg.collect_metrics = true;
@@ -75,40 +73,35 @@ void check_neutral_and_deterministic(const Workload& w, MachineConfig cfg) {
     cfg.spes_per_node = 2;
     for (const bool prefetch : {false, true}) {
         SCOPED_TRACE(prefetch ? "prefetch" : "original");
-        std::string ref_frames;  // threads=1, wheel on — the reference
+        std::string ref_frames;  // wheel on — the reference
         for (const bool wheel : {true, false}) {
-            for (const std::uint32_t threads : {1u, 2u, 4u}) {
-                SCOPED_TRACE("wheel=" + std::to_string(wheel) +
-                             " threads=" + std::to_string(threads));
-                const Fingerprint off =
-                    run_fp(w, cfg, prefetch, threads, wheel, false);
-                EXPECT_FALSE(off.res.telemetry.enabled);
-                EXPECT_EQ(off.json.find("\"telemetry\""), std::string::npos);
-                const Fingerprint on =
-                    run_fp(w, cfg, prefetch, threads, wheel, true);
-                // Pure observer: everything else byte-identical.
-                EXPECT_EQ(off.res.cycles, on.res.cycles);
-                EXPECT_EQ(off.json, on.json)
-                    << "JSON report (minus telemetry) differs";
-                EXPECT_EQ(off.events, on.events) << "event log differs";
-                EXPECT_EQ(off.res.spans.size(), on.res.spans.size());
-                EXPECT_EQ(off.res.dma_spans.size(), on.res.dma_spans.size());
-                // Deterministic timeline: simulated frame fields identical
-                // across wheel modes and host-thread counts.
-                ASSERT_TRUE(on.res.telemetry.enabled);
-                EXPECT_GT(on.res.telemetry.captured, 0u);
-                EXPECT_FALSE(on.res.telemetry.stalled)
-                    << "watchdog fired on a passing run";
-                for (const sim::TelemetryFrame& f : on.res.telemetry.frames) {
-                    EXPECT_EQ(f.cycle % kInterval, 0u);
-                }
-                const std::string key = frames_key(on.res.telemetry);
-                if (ref_frames.empty()) {
-                    ref_frames = key;
-                } else {
-                    EXPECT_EQ(key, ref_frames)
-                        << "telemetry timeline depends on the run-loop mode";
-                }
+            SCOPED_TRACE("wheel=" + std::to_string(wheel));
+            const Fingerprint off = run_fp(w, cfg, prefetch, wheel, false);
+            EXPECT_FALSE(off.res.telemetry.enabled);
+            EXPECT_EQ(off.json.find("\"telemetry\""), std::string::npos);
+            const Fingerprint on = run_fp(w, cfg, prefetch, wheel, true);
+            // Pure observer: everything else byte-identical.
+            EXPECT_EQ(off.res.cycles, on.res.cycles);
+            EXPECT_EQ(off.json, on.json)
+                << "JSON report (minus telemetry) differs";
+            EXPECT_EQ(off.events, on.events) << "event log differs";
+            EXPECT_EQ(off.res.spans.size(), on.res.spans.size());
+            EXPECT_EQ(off.res.dma_spans.size(), on.res.dma_spans.size());
+            // Deterministic timeline: simulated frame fields identical
+            // across wheel modes.
+            ASSERT_TRUE(on.res.telemetry.enabled);
+            EXPECT_GT(on.res.telemetry.captured, 0u);
+            EXPECT_FALSE(on.res.telemetry.stalled)
+                << "watchdog fired on a passing run";
+            for (const sim::TelemetryFrame& f : on.res.telemetry.frames) {
+                EXPECT_EQ(f.cycle % kInterval, 0u);
+            }
+            const std::string key = frames_key(on.res.telemetry);
+            if (ref_frames.empty()) {
+                ref_frames = key;
+            } else {
+                EXPECT_EQ(key, ref_frames)
+                    << "telemetry timeline depends on the run-loop mode";
             }
         }
     }

@@ -18,15 +18,20 @@ namespace {
 std::size_t g_allocations = 0;
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacements stay out of line: once inlined, GCC sees malloc() paired
+// with operator delete, or a new-expression paired with free(), and warns
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
     ++g_allocations;
     if (void* p = std::malloc(n == 0 ? 1 : n)) {
         return p;
     }
     throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace dta::mem {
 namespace {

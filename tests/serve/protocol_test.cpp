@@ -333,11 +333,28 @@ TEST(Engine, CachedRerunIsByteIdentical) {
     EXPECT_TRUE(cached->as_bool());
     EXPECT_EQ(warm[2], cold[2]);
 
-    // Host thread count is result-neutral and must not fragment the cache.
-    auto threads = ask(engine, mmul_job("t4", ",\"threads\":4"));
-    ASSERT_EQ(threads.size(), 3u);
-    ASSERT_TRUE(meta_ok(threads[1]));
-    EXPECT_EQ(threads[2], cold[2]);
+    // "threads":1 is the one accepted host-thread count; it names the same
+    // job and hits the same entry.
+    auto one = ask(engine, mmul_job("t1", ",\"threads\":1"));
+    ASSERT_EQ(one.size(), 3u);
+    ASSERT_TRUE(meta_ok(one[1]));
+    const stats::JsonParseResult one_meta = stats::parse_json(one[1]);
+    cached = meta_field(one_meta, "cached", stats::JsonValue::Kind::kBool);
+    ASSERT_NE(cached, nullptr);
+    EXPECT_TRUE(cached->as_bool());
+    EXPECT_EQ(one[2], cold[2]);
+
+    // Any other count is refused with one error line and no report.
+    auto four = ask(engine, mmul_job("t4", ",\"threads\":4"));
+    ASSERT_EQ(four.size(), 2u);
+    EXPECT_FALSE(meta_ok(four[1]));
+    const stats::JsonParseResult four_meta = stats::parse_json(four[1]);
+    const stats::JsonValue* error =
+        meta_field(four_meta, "error", stats::JsonValue::Kind::kString);
+    ASSERT_NE(error, nullptr);
+    EXPECT_NE(error->as_string().find("'threads'"), std::string::npos)
+        << error->as_string();
+    EXPECT_EQ(error->as_string().find('\n'), std::string::npos);
 }
 
 TEST(Engine, VerifiedHitMatchesStoredBytes) {

@@ -1,5 +1,5 @@
-// Event-log unit tests: payload packing, chunked storage, the shard-merge
-// canonicalization, and the DTAEV1 text round trip.
+// Event-log unit tests: payload packing, chunked storage, the canonical
+// (cycle, ordinal) order, and the DTAEV1 text round trip.
 #include "sim/events.hpp"
 
 #include <gtest/gtest.h>
@@ -60,24 +60,18 @@ TEST(Events, ChunkedStorageKeepsPushOrder) {
     }
 }
 
-// Two shard logs whose (cycle, ordinal) groups interleave must merge into
-// exactly the order a single-threaded run would have emitted: sorted by
-// (cycle, ordinal), push order preserved within a group.
-TEST(Events, MergeReproducesSingleThreadedOrder) {
-    EventLog shard0;  // ordinals 0 and 1
-    shard0.push(make(0, 0, EventKind::kFrameGrant, 1));
-    shard0.push(make(0, 0, EventKind::kReady, 1));  // same group, after
-    shard0.push(make(5, 1, EventKind::kDispatch, 1));
-    EventLog shard1;  // ordinal 2
-    shard1.push(make(0, 2, EventKind::kFrameGrant, 2));
-    shard1.push(make(3, 2, EventKind::kDispatch, 2));
+// canonicalize() sorts by (cycle, ordinal) and keeps push order within a
+// group, whatever order the groups were pushed in.
+TEST(Events, CanonicalizeSortsByCycleThenOrdinal) {
+    EventLog log;
+    log.push(make(0, 2, EventKind::kFrameGrant, 2));
+    log.push(make(3, 2, EventKind::kDispatch, 2));
+    log.push(make(0, 0, EventKind::kFrameGrant, 1));
+    log.push(make(0, 0, EventKind::kReady, 1));  // same group, after
+    log.push(make(5, 1, EventKind::kDispatch, 1));
+    log.canonicalize();
 
-    EventLog merged;
-    merged.append_from(shard1);  // worst-case append order
-    merged.append_from(shard0);
-    merged.canonicalize();
-
-    const std::vector<Event> flat = merged.flatten();
+    const std::vector<Event> flat = log.flatten();
     ASSERT_EQ(flat.size(), 5u);
     EXPECT_EQ(flat[0].kind, EventKind::kFrameGrant);  // (0,0) grant first
     EXPECT_EQ(flat[0].thread, 1u);

@@ -62,26 +62,6 @@ TEST(Histogram, SingleValuePercentilesAreExact) {
     EXPECT_DOUBLE_EQ(h.percentile(100), 42.0);
 }
 
-TEST(Histogram, MergeMatchesCombinedRecording) {
-    Histogram a;
-    Histogram b;
-    Histogram combined;
-    for (std::uint64_t v : {1ull, 5ull, 9ull, 100ull}) {
-        a.record(v);
-        combined.record(v);
-    }
-    for (std::uint64_t v : {0ull, 7ull, 4000ull}) {
-        b.record(v);
-        combined.record(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_EQ(a.sum(), combined.sum());
-    EXPECT_EQ(a.min(), combined.min());
-    EXPECT_EQ(a.max(), combined.max());
-    EXPECT_EQ(a.buckets(), combined.buckets());
-}
-
 TEST(GaugeSeries, KeepsOrderedSamplesAndMax) {
     GaugeSeries g;
     EXPECT_EQ(g.last(), 0);
@@ -93,63 +73,6 @@ TEST(GaugeSeries, KeepsOrderedSamplesAndMax) {
     EXPECT_EQ(g.samples()[1].value, 7);
     EXPECT_EQ(g.max(), 7);
     EXPECT_EQ(g.last(), 2);
-}
-
-TEST(GaugeSeries, MergeAddSumsPointwiseAndRecomputesMax) {
-    GaugeSeries a;
-    a.sample(0, 10);
-    a.sample(256, 2);
-    a.sample(512, 1);
-    GaugeSeries b;
-    b.sample(0, -8);
-    b.sample(256, 3);
-    b.sample(512, 4);
-    a.merge_add(b);
-    ASSERT_EQ(a.samples().size(), 3u);
-    EXPECT_EQ(a.samples()[0].value, 2);
-    EXPECT_EQ(a.samples()[1].value, 5);
-    EXPECT_EQ(a.samples()[2].value, 5);
-    // max_ is recomputed from the sums: the pre-merge peak of 10 at cycle 0
-    // collapses to 2, so the merged max must be 5, not 10.
-    EXPECT_EQ(a.max(), 5);
-    EXPECT_EQ(a.last(), 5);
-}
-
-TEST(GaugeSeries, MergeAddWithEmptySideIsIdentity) {
-    GaugeSeries a;
-    a.sample(0, 3);
-    a.sample(256, 7);
-    const GaugeSeries empty;
-    // Empty other: no-op.
-    a.merge_add(empty);
-    ASSERT_EQ(a.samples().size(), 2u);
-    EXPECT_EQ(a.max(), 7);
-    // Empty self: adopts the other series wholesale, max included.
-    GaugeSeries c;
-    c.merge_add(a);
-    ASSERT_EQ(c.samples().size(), 2u);
-    EXPECT_EQ(c.samples()[1].cycle, 256u);
-    EXPECT_EQ(c.max(), 7);
-    EXPECT_EQ(c.last(), 7);
-}
-
-TEST(GaugeSeries, MergeAddRejectsMisalignedShardSeries) {
-    // Shards sample the same gauge at identical cycles by construction; a
-    // length or cycle mismatch is a simulator bug, not user error.
-    GaugeSeries a;
-    a.sample(0, 1);
-    a.sample(256, 1);
-    GaugeSeries shorter;
-    shorter.sample(0, 1);
-    EXPECT_THROW(a.merge_add(shorter), CheckError);
-
-    GaugeSeries skewed;
-    skewed.sample(0, 1);
-    skewed.sample(128, 1);  // same length, different sample cycle
-    GaugeSeries base;
-    base.sample(0, 1);
-    base.sample(256, 1);
-    EXPECT_THROW(base.merge_add(skewed), CheckError);
 }
 
 TEST(MetricsRegistry, DisabledReturnsNull) {

@@ -1,5 +1,6 @@
 // Host-time profiler units: accumulation, exclusive scope attribution,
-// orphan-child bookkeeping, snapshots, and the deterministic merge.
+// orphan-child bookkeeping, snapshots, and folding a buffer into a
+// HostProfile.
 #include "sim/prof.hpp"
 
 #include <gtest/gtest.h>
@@ -84,7 +85,7 @@ TEST(ProfScope, TopLevelScopeBecomesOrphanChildTime) {
     ProfBuffer b;
     b.reset(1);
     {
-        ProfScope lone(&b, 1, ProfPhase::kChannelSerialize);
+        ProfScope lone(&b, 1, ProfPhase::kWheelInsert);
         volatile std::uint64_t sink = 0;
         for (int i = 0; i < 100; ++i) {
             sink = sink + prof_now_ns();
@@ -96,7 +97,7 @@ TEST(ProfScope, TopLevelScopeBecomesOrphanChildTime) {
     EXPECT_GT(orphan, 0u);
     EXPECT_GE(orphan,
               b.rows()[1][static_cast<std::size_t>(
-                  ProfPhase::kChannelSerialize)].ns);
+                  ProfPhase::kWheelInsert)].ns);
     EXPECT_EQ(b.take_orphan_child_ns(), 0u);  // take() drains
 }
 
@@ -106,14 +107,14 @@ TEST(ProfBuffer, SnapshotsAreCumulative) {
     b.add(1, tick(), 100);
     b.snapshot(10);
     b.add(1, tick(), 50);
-    b.add(0, ProfPhase::kBarrierWait, 30);
+    b.add(0, ProfPhase::kRearm, 30);
     b.snapshot(20);
     ASSERT_EQ(b.snapshots().size(), 2u);
     EXPECT_EQ(b.snapshots()[0].cycle, 10u);
     EXPECT_EQ(b.snapshots()[0].ns[static_cast<std::size_t>(tick())], 100u);
     EXPECT_EQ(b.snapshots()[1].ns[static_cast<std::size_t>(tick())], 150u);
     EXPECT_EQ(b.snapshots()[1].ns[static_cast<std::size_t>(
-                  ProfPhase::kBarrierWait)],
+                  ProfPhase::kRearm)],
               30u);
 }
 
@@ -128,8 +129,8 @@ TEST(PhaseNames, AreStableAndDistinct) {
         seen.push_back(name);
     }
     EXPECT_EQ(std::string(prof_phase_name(ProfPhase::kTick)), "tick");
-    EXPECT_EQ(std::string(prof_phase_name(ProfPhase::kBarrierWait)),
-              "barrier_wait");
+    EXPECT_EQ(std::string(prof_phase_name(ProfPhase::kWheelPop)),
+              "wheel_pop");
 }
 
 TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
@@ -142,7 +143,7 @@ TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
     b.snapshot(64);
 
     HostProfile out;
-    merge_prof_buffer(out, 0, "shard0", b, {"pe0", "pe1"});
+    merge_prof_buffer(out, b, {"pe0", "pe1"});
     out.enabled = true;
 
     ASSERT_EQ(out.shards.size(), 1u);
@@ -154,7 +155,7 @@ TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
     EXPECT_DOUBLE_EQ(sh.coverage(), 0.8);  // (200 + 600) / 1000
 
     ASSERT_EQ(out.entries.size(), 2u);
-    // Shard-level phases report component "-".
+    // Loop phases report component "-", and every entry is shard 0.
     bool saw_shard_row = false;
     bool saw_pe0 = false;
     for (const HostProfileEntry& e : out.entries) {
@@ -169,6 +170,7 @@ TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
             EXPECT_EQ(e.ns, 600u);
         }
         EXPECT_NE(e.component, "pe1");  // zero row skipped
+        EXPECT_EQ(e.shard, 0u);
     }
     EXPECT_TRUE(saw_shard_row);
     EXPECT_TRUE(saw_pe0);
@@ -181,26 +183,6 @@ TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
     EXPECT_NE(table.find("tick"), std::string::npos);
     EXPECT_NE(table.find("coverage"), std::string::npos);
     EXPECT_LT(table.find("pe0"), table.find("next_activity"));
-}
-
-TEST(Merge, MultipleShardsAccumulate) {
-    HostProfile out;
-    ProfBuffer a;
-    a.reset(1);
-    a.add(1, tick(), 100);
-    a.set_wall_ns(150);
-    ProfBuffer b;
-    b.reset(1);
-    b.add(1, tick(), 300);
-    b.set_wall_ns(400);
-    merge_prof_buffer(out, 0, "shard0", a, {"x"});
-    merge_prof_buffer(out, 1, "shard1", b, {"y"});
-    ASSERT_EQ(out.shards.size(), 2u);
-    EXPECT_EQ(out.total_ns(), 400u);
-    EXPECT_EQ(out.total_wall_ns(), 550u);
-    EXPECT_EQ(out.entries.size(), 2u);
-    EXPECT_EQ(out.entries[0].shard, 0u);
-    EXPECT_EQ(out.entries[1].shard, 1u);
 }
 
 }  // namespace

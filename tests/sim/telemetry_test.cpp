@@ -71,7 +71,7 @@ TEST(Telemetry, WatchdogFiresOnceAfterNSamples) {
     int stall_info_calls = 0;
     s.set_stall_info([&stall_info_calls](TelemetryStall& st) {
         ++stall_info_calls;
-        st.components = "lse0 [shard 0, epoch 1]";
+        st.components = "lse0, pe1";
     });
     // Progress, then a frozen fingerprint; the reference sample (sample 0
     // of the freeze) does not count, the next 3 do.
@@ -87,7 +87,7 @@ TEST(Telemetry, WatchdogFiresOnceAfterNSamples) {
     EXPECT_EQ(r.stall.cycle, 400u);  // 3rd frozen sample after cycle 100
     EXPECT_EQ(r.stall.samples, 3u);
     EXPECT_EQ(r.stall.stalled_cycles, 300u);
-    EXPECT_EQ(r.stall.components, "lse0 [shard 0, epoch 1]");
+    EXPECT_EQ(r.stall.components, "lse0, pe1");
     // Exactly one diagnostic line reached the stream.
     std::rewind(diag);
     std::string text;

@@ -33,7 +33,9 @@ struct Span {
 class Scripted final : public Component {
 public:
     Scripted(std::uint32_t id, std::vector<Visit>* log)
-        : Component("c" + std::to_string(id)), id_(id), log_(log) {}
+        : Component(std::string(1, 'c') += std::to_string(id)),
+          id_(id),
+          log_(log) {}
 
     void tick(Cycle now) override {
         log_->push_back({now, id_});

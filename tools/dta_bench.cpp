@@ -8,7 +8,7 @@
 ///
 /// Usage:
 ///   dta_bench [--label L] [--out FILE] [--warmup N] [--repeats N]
-///             [--filter SUBSTR] [--threads N] [--scale paper|ci]
+///             [--filter SUBSTR] [--scale paper|ci]
 ///             [--scale-time X] [--no-wheel] [--ab-wheel] [--list]
 ///             [--serve SOCKET]
 ///
@@ -75,7 +75,6 @@ struct Options {
     std::uint32_t warmup = 1;
     std::uint32_t repeats = 5;
     std::string filter;
-    std::uint32_t threads = 1;
     std::string scale = "ci";  // "ci" (reduced, fast) or "paper"
     double scale_time = 1.0;
     bool no_wheel = false;  // dense run loop for every sample
@@ -94,8 +93,6 @@ void usage(const char* argv0) {
         "  --warmup N       untimed warmup runs per case (default 1)\n"
         "  --repeats N      timed runs per case (default 5)\n"
         "  --filter SUBSTR  only run cases whose name contains SUBSTR\n"
-        "  --threads N      host threads for the sharded run loop "
-        "(default 1)\n"
         "  --scale ci|paper workload sizes: reduced CI scale (default) or\n"
         "                   the paper's Section 4.2 sizes\n"
         "  --scale-time X   multiply recorded host seconds by X (>= 1);\n"
@@ -139,20 +136,17 @@ std::vector<Case> build_registry(const Options& opt) {
     workloads::MatMul::Params mp;
     mp.n = paper ? 32 : 16;
     mp.threads = paper ? workloads::MatMul::threads_for(spes) : 16;
-    core::MachineConfig mc = workloads::MatMul::machine_config(spes);
-    mc.host_threads = opt.threads;
+    const core::MachineConfig mc = workloads::MatMul::machine_config(spes);
 
     workloads::Zoom::Params zp;
     zp.n = paper ? 32 : 16;
     zp.factor = paper ? 8 : 4;
     zp.threads = paper ? workloads::Zoom::threads_for(spes) : 16;
-    core::MachineConfig zc = workloads::Zoom::machine_config(spes);
-    zc.host_threads = opt.threads;
+    const core::MachineConfig zc = workloads::Zoom::machine_config(spes);
 
     workloads::BitCount::Params bp;
     bp.iterations = paper ? 10000 : 1024;
-    core::MachineConfig bc = workloads::BitCount::machine_config(spes);
-    bc.host_threads = opt.threads;
+    const core::MachineConfig bc = workloads::BitCount::machine_config(spes);
 
     const std::string tag = paper ? "paper" : "ci";
     std::vector<Case> reg;
@@ -238,11 +232,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
             const char* v = next("--filter");
             if (v == nullptr) return false;
             opt.filter = v;
-        } else if (a == "--threads") {
-            const char* v = next("--threads");
-            if (v == nullptr) return false;
-            opt.threads = cli::parse_uint<std::uint32_t>(argv[0], "--threads",
-                                                         v, 0, 4096);
         } else if (a == "--scale") {
             const char* v = next("--scale");
             if (v == nullptr) return false;
@@ -360,8 +349,7 @@ int serve_mode(const char* argv0, const Options& opt) {
             c.payload = "{\"op\":\"run\",\"jobs\":[{\"id\":\"" + c.name +
                         "\",\"workload\":\"" + wl + "\",\"scale\":\"" +
                         opt.scale + "\",\"prefetch\":" +
-                        (pf ? "true" : "false") + ",\"threads\":" +
-                        std::to_string(opt.threads) + "}]}";
+                        (pf ? "true" : "false") + "}]}";
             cases.push_back(std::move(c));
         }
     }

@@ -72,7 +72,6 @@ struct FuzzConfig {
     std::uint32_t inject_depth = 16;
     std::uint32_t mfc_queue = 16;
     std::uint32_t link_latency = 40;
-    std::uint32_t host_threads = 1;
     // program-shape knobs (fed to DataflowGenParams)
     std::uint32_t max_threads = 48;
     std::uint32_t max_fanout = 4;
@@ -90,7 +89,6 @@ std::string encode(const FuzzConfig& c) {
            ",inject=" + std::to_string(c.inject_depth) +
            ",mfcq=" + std::to_string(c.mfc_queue) +
            ",link=" + std::to_string(c.link_latency) +
-           ",threads=" + std::to_string(c.host_threads) +
            ",maxthreads=" + std::to_string(c.max_threads) +
            ",fanout=" + std::to_string(c.max_fanout) +
            ",joinpct=" + std::to_string(c.join_percent);
@@ -131,8 +129,6 @@ bool decode(const std::string& s, FuzzConfig& c) {
             c.mfc_queue = val;
         } else if (key == "link") {
             c.link_latency = val;
-        } else if (key == "threads") {
-            c.host_threads = val;
         } else if (key == "maxthreads") {
             c.max_threads = val;
         } else if (key == "fanout") {
@@ -149,7 +145,7 @@ bool decode(const std::string& s, FuzzConfig& c) {
 
 /// The predefined configuration shapes the default sweep covers: small and
 /// large node counts, scarce and plentiful frames, virtual frames, the
-/// prefetch pass, shallow queues, and the sharded run loop.
+/// prefetch pass, shallow queues, and slow inter-node links.
 std::vector<FuzzConfig> shape_table() {
     std::vector<FuzzConfig> shapes(10);
     // 0: the baseline tiny machine.
@@ -157,13 +153,11 @@ std::vector<FuzzConfig> shape_table() {
     shapes[1].spes = 4;
     shapes[1].frames = 8;
     shapes[1].vfp = true;
-    // 2: two nodes driven by two host threads.
+    // 2: two nodes.
     shapes[2].nodes = 2;
-    shapes[2].host_threads = 2;
-    // 3: three nodes, three host threads, virtual frames.
+    // 3: three nodes, virtual frames.
     shapes[3].nodes = 3;
     shapes[3].frames = 12;
-    shapes[3].host_threads = 3;
     shapes[3].vfp = true;
     // 4: frame starvation + virtual frames + the prefetch pass.
     shapes[4].frames = 6;
@@ -179,20 +173,18 @@ std::vector<FuzzConfig> shape_table() {
     shapes[6].inject_depth = 2;
     shapes[6].mfc_queue = 2;
     shapes[6].mem_latency = 300;
-    // 7: slow inter-node link, sharded.
+    // 7: slow inter-node link.
     shapes[7].nodes = 2;
     shapes[7].frames = 8;
     shapes[7].link_latency = 100;
-    shapes[7].host_threads = 2;
     shapes[7].max_threads = 32;
     // 8: near-perfect memory with prefetch (races squeezed together).
     shapes[8].frames = 32;
     shapes[8].mem_latency = 1;
     shapes[8].prefetch = true;
-    // 9: many single-SPE nodes, fully sharded, virtual frames.
+    // 9: many single-SPE nodes, virtual frames.
     shapes[9].nodes = 4;
     shapes[9].spes = 1;
-    shapes[9].host_threads = 4;
     shapes[9].vfp = true;
     shapes[9].max_fanout = 3;
     return shapes;
@@ -219,7 +211,6 @@ core::MachineConfig machine_config(const FuzzConfig& c) {
     cfg.noc.inject_queue_depth = c.inject_depth;
     cfg.mfc.queue_depth = c.mfc_queue;
     cfg.link.latency = c.link_latency;
-    cfg.host_threads = c.host_threads;
     cfg.audit.enabled = true;
     // Gauges on: the dense-vs-wheel differential byte-compares the full run
     // report, and sampled gauges exercise the wheel's sample-replay path
@@ -416,11 +407,6 @@ FuzzConfig shrink(FuzzConfig c, std::uint64_t seed, bool no_wheel,
             why = w;
         }
     };
-    {
-        FuzzConfig t = c;
-        t.host_threads = 1;
-        try_keep(t);
-    }
     {
         FuzzConfig t = c;
         t.nodes = 1;

@@ -8,9 +8,6 @@
 ///   dta_run <program.dta> [options]
 ///     --spes N          SPEs (default 8)
 ///     --nodes N         nodes (default 1)
-///     --threads N       host threads for the sharded run loop (default 1;
-///                       0 = auto, capped at the node count; results are
-///                       bit-identical for every value)
 ///     --mem-latency N   main-memory latency in cycles (default 150)
 ///     --frames N        frame slots per PE (default 16)
 ///     --staging N       DMA staging bytes per frame (default 8192)
@@ -30,7 +27,7 @@
 ///     --interp          run the functional interpreter instead
 ///     --profile         print the per-thread-code profile
 ///     --prof            host-time profiler: print the sorted self-time
-///                       table (per shard/component/phase) after the run;
+///                       table (per component/phase) after the run;
 ///                       adds a host_profile section to --metrics and host
 ///                       counter tracks to --trace.  Simulated results are
 ///                       byte-identical with or without it.
@@ -105,7 +102,6 @@ struct Options {
     std::string program_path;
     std::uint16_t spes = 8;
     std::uint16_t nodes = 1;
-    std::uint32_t threads = 1;
     std::uint32_t mem_latency = 150;
     bool mem_latency_set = false;
     std::uint32_t frames = 16;
@@ -141,7 +137,7 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s <program.dta> [--spes N] [--nodes N] "
-                 "[--threads N] [--mem-latency N]\n"
+                 "[--mem-latency N]\n"
                  "       [--frames N] [--staging N] [--vfp] "
                  "[--perfect-cache] [--no-fastforward] [--no-wheel] "
                  "[--audit[=N]]\n"
@@ -178,9 +174,6 @@ Options parse_options(int argc, char** argv) {
         } else if (a == "--nodes") {
             opt.nodes = cli::parse_uint<std::uint16_t>(argv[0], "--nodes",
                                                        next(), 1);
-        } else if (a == "--threads") {
-            opt.threads = cli::parse_uint<std::uint32_t>(argv[0], "--threads",
-                                                         next(), 0, 4096);
         } else if (a == "--mem-latency") {
             opt.mem_latency = cli::parse_uint<std::uint32_t>(
                 argv[0], "--mem-latency", next());
@@ -353,7 +346,6 @@ int main(int argc, char** argv) {
         cfg.collect_events = !opt.events_path.empty();
         cfg.fast_forward = !opt.no_fastforward;
         cfg.use_wheel = !opt.no_wheel;
-        cfg.host_threads = opt.threads;
         cfg.audit.enabled = opt.audit;
         cfg.audit.interval = opt.audit_interval;
         cfg.profile = opt.prof;
@@ -524,16 +516,6 @@ int main(int argc, char** argv) {
                         machine.last_checkpoint_path().c_str(),
                         static_cast<unsigned long long>(
                             machine.last_checkpoint_cycle()));
-        }
-        if (machine.shard_count() > 1) {
-            std::printf("host: %u shards:", machine.shard_count());
-            for (const auto& s : machine.shard_stats()) {
-                std::printf(" %s %llu ticked / %llu fast-forwarded;",
-                            s.name.c_str(),
-                            static_cast<unsigned long long>(s.ticked),
-                            static_cast<unsigned long long>(s.skipped));
-            }
-            std::puts("");
         }
         if (res.wheel.enabled) {
             std::printf(

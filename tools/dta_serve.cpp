@@ -8,15 +8,15 @@
 ///
 /// Usage:
 ///   dta_serve --socket PATH [options]
-///     --workers N        simulation worker threads (default 2)
+///     --workers N        simulation worker threads (default 2); each job
+///                        runs on one of them, so this is the host
+///                        parallelism
 ///     --queue N          pending-job bound; a full queue answers
 ///                        {"busy":true} instead of blocking (default 64)
 ///     --cache-dir D      result cache directory (default: no cache)
 ///     --cache-max-bytes N  LRU eviction budget (default 0 = unbounded)
 ///     --verify-hits N    re-run every Nth cache hit and byte-compare
 ///                        against the stored report (default 0 = never)
-///     --job-threads N    host threads per simulation (default 1; results
-///                        are byte-identical for every value)
 ///     --metrics-out FILE write the final stats JSON on shutdown
 ///
 /// Stop it with `dta_client --socket PATH shutdown` (or SIGINT/SIGTERM).
@@ -48,7 +48,7 @@ void on_signal(int) {
                  "usage: %s --socket PATH [--workers N] [--queue N]\n"
                  "       [--cache-dir D] [--cache-max-bytes N] "
                  "[--verify-hits N]\n"
-                 "       [--job-threads N] [--metrics-out FILE]\n",
+                 "       [--metrics-out FILE]\n",
                  argv0);
     std::exit(2);
 }
@@ -86,9 +86,6 @@ int main(int argc, char** argv) {
         } else if (a == "--verify-hits") {
             cfg.verify_hits =
                 parse_uint<std::uint32_t>(argv[0], "--verify-hits", next());
-        } else if (a == "--job-threads") {
-            cfg.default_threads = parse_uint<std::uint32_t>(
-                argv[0], "--job-threads", next(), 0, 4096);
         } else if (a == "--metrics-out") {
             metrics_out = next();
         } else {
