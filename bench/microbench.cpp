@@ -168,36 +168,6 @@ void BM_SnapshotSaveRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotSaveRestore)->Unit(benchmark::kMillisecond);
 
-void BM_TimingWheelInsertCollect(benchmark::State& state) {
-    // 1e6 insert+collect pairs per iteration on the bare calendar queue,
-    // with the horizon mix the machine produces: mostly short (L0 page),
-    // some mid-range (L1), a tail beyond the 64Ki epoch (overflow).
-    constexpr std::uint64_t kOps = 1'000'000;
-    std::vector<std::uint32_t> out;
-    for (auto _ : state) {
-        sim::TimingWheel wheel;
-        std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-        sim::Cycle now = 0;
-        std::uint64_t popped = 0;
-        for (std::uint64_t i = 0; i < kOps; ++i) {
-            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-            const std::uint64_t r = rng >> 33;
-            const sim::Cycle delta = r % 100 < 90   ? 1 + r % 16
-                                     : r % 100 < 99 ? 256 + r % 4096
-                                                    : 70'000 + r % 100'000;
-            wheel.insert(now + delta, static_cast<std::uint32_t>(i & 1023));
-            out.clear();
-            wheel.collect(now, out);
-            popped += out.size();
-            ++now;
-        }
-        benchmark::DoNotOptimize(popped);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kOps));
-}
-BENCHMARK(BM_TimingWheelInsertCollect);
-
 /// Fixed-stride dummy: re-arms itself `stride` cycles after every visit,
 /// so the scheduler's full pop -> lazy-skip -> tick -> re-arm path runs at
 /// a steady, deterministic event rate.
@@ -221,14 +191,17 @@ private:
 };
 
 void BM_WheelSchedulerPopRearm(benchmark::State& state) {
-    // 1e6 component visits through the real scheduler: wheel pop, lazy
-    // skip of the slept span, tick, next_activity() re-arm.  Strides are
-    // spread over 1..13 cycles so only a fraction of the 64 components is
-    // due per cycle (the partially-idle regime the wheel exists for).
+    // 1e6 component visits through the real scheduler: the due-array pass,
+    // lazy skip of the slept span, tick, next_activity() re-arm.  Strides
+    // are spread over 1..13 cycles so only a fraction of the components is
+    // due per cycle (the partially-idle regime the scheduler exists for).
+    // The argument is the component count: 12 is the paper's 1x8 machine,
+    // 45 the largest tested shape (4 nodes x 8 SPEs), and 256 prices the
+    // O(components) pass beyond it.
     constexpr std::uint64_t kOps = 1'000'000;
     std::vector<std::unique_ptr<StrideComponent>> owners;
     std::vector<sim::Component*> comps;
-    for (int i = 0; i < 64; ++i) {
+    for (std::int64_t i = 0; i < state.range(0); ++i) {
         std::string name(1, 'c');
         name += std::to_string(i);
         owners.push_back(std::make_unique<StrideComponent>(
@@ -251,7 +224,7 @@ void BM_WheelSchedulerPopRearm(benchmark::State& state) {
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * kOps));
 }
-BENCHMARK(BM_WheelSchedulerPopRearm);
+BENCHMARK(BM_WheelSchedulerPopRearm)->Arg(12)->Arg(45)->Arg(64)->Arg(256);
 
 /// Re-arms with the horizon mix measured on mmul(32)/pf: 73% of visits at
 /// +1, 6% at +2, 13% at +3..8, 7% at +9..256 and 1% never, uniform within
@@ -305,7 +278,7 @@ private:
 void BM_WheelSchedulerPopRearmMmulPfMix(benchmark::State& state) {
     // 1e6 visits of mmul(32)/pf's 12 components (fabric, DSE, memory
     // interface, 8 PEs, router) under its measured re-arm mix: most
-    // re-arms land at now+1, in the scheduler's next-cycle lane.
+    // re-arms land at now+1.
     constexpr std::uint64_t kOps = 1'000'000;
     for (auto _ : state) {
         sim::WheelScheduler sched;

@@ -112,7 +112,7 @@ struct MachineConfig {
     /// this only trades host time.  The DTA_NO_FASTFORWARD environment
     /// variable force-disables it (escape hatch for A/B debugging).
     bool fast_forward = true;
-    /// Drive the run loop from the event-driven timing wheel (sim/wheel.hpp):
+    /// Drive the run loop from the event-driven scheduler (sim/wheel.hpp):
     /// each component is visited only at its declared next_activity() cycle,
     /// with inbound traffic re-arming sleepers.  Results are byte-identical
     /// either way; off falls back to the dense per-cycle loop (the

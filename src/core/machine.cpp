@@ -700,20 +700,7 @@ RunResult Machine::stop_early(sim::Cycle cycle) {
 // Run loop
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// One link in a chained profiling timer: charge the span since the last
-/// boundary (minus time already claimed by nested scopes) and advance the
-/// boundary.  Chaining instead of per-segment RAII scopes leaves no
-/// un-attributed gaps inside the run loop.
-inline void prof_charge(sim::ProfBuffer* pb, std::uint64_t& t,
-                        std::uint32_t slot, sim::ProfPhase phase) {
-    const std::uint64_t t2 = sim::prof_now_ns();
-    pb->add(slot, phase, t2 - t - pb->take_orphan_child_ns());
-    t = t2;
-}
-
-}  // namespace
+using sim::prof_charge;
 
 void Machine::tick_cycle(sim::Cycle now, std::uint64_t& t) {
     sim::ProfBuffer* const pb = prof_buffer();

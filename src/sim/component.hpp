@@ -36,9 +36,10 @@
 ///
 /// ## The re-arm/wake contract (event-driven scheduler)
 ///
-/// The timing-wheel core (sim/wheel.hpp) leans on the horizon contract
-/// *per component* instead of globally: after every tick the component is
-/// re-armed at exactly `next_activity(now)` and is not visited before then.
+/// The event-driven scheduler (sim/wheel.hpp) leans on the horizon
+/// contract *per component* instead of globally: after every tick the
+/// component is re-armed at exactly `next_activity(now)` in the scheduler's
+/// due array and is not visited before then.
 /// The "assuming no new input" escape hatch is closed by wakes: every queue
 /// a component drains carries a `Waker` binding (Port<T>::set_waker, or the
 /// equivalent hook on the fabric), so the
@@ -54,7 +55,7 @@
 ///     examined in tick() but owned by another object (e.g. a router
 ///     draining its node's outboxes) counts as "its" queue here.
 ///  2. A sleeping component's accounting is applied lazily: when a wake or
-///     re-arm lands it at cycle `h`, the wheel first calls
+///     re-arm lands it at cycle `h`, the scheduler first calls
 ///     `skip(acct, h)` for the slept span and only then `tick(h)`. skip()
 ///     must therefore be safe mid-run on *any* quiescent-between-events
 ///     state, not only the globally-frozen states the dense fast-forward

@@ -43,8 +43,8 @@ enum class ProfPhase : std::uint8_t {
     kFastforwardScan,  ///< skip() bookkeeping over a fast-forwarded span
     kAudit,            ///< invariant audit sweeps
     kSample,           ///< gauge sampling / metrics snapshots
-    kWheelPop,         ///< collecting the due set from the timing wheel
-    kWheelInsert,      ///< wheel enqueues from wakes
+    kWheelPop,         ///< the due-array pass, outside its visits
+    kWheelInsert,      ///< due-array arms from wakes
     kRearm,            ///< post-tick horizon query + reschedule
     kCount
 };
@@ -142,6 +142,17 @@ private:
     ProfScope* top_ = nullptr;          ///< innermost open scope
     std::uint64_t orphan_child_ns_ = 0; ///< scope time with no open parent
 };
+
+/// One link in a chained profiling timer: charge the span since the last
+/// boundary \p t (minus time already claimed by nested scopes) and advance
+/// the boundary.  Chaining instead of per-segment RAII scopes leaves no
+/// un-attributed gaps inside the run loop and the scheduler's pass.
+inline void prof_charge(ProfBuffer* pb, std::uint64_t& t, std::uint32_t slot,
+                        ProfPhase phase) {
+    const std::uint64_t t2 = prof_now_ns();
+    pb->add(slot, phase, t2 - t - pb->take_orphan_child_ns());
+    t = t2;
+}
 
 /// RAII scoped timer.  A null buffer makes construction and destruction a
 /// single branch each — the off-cost of every instrumentation site.

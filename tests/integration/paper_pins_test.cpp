@@ -15,18 +15,12 @@
 #include <ostream>
 #include <string>
 
-#include "core/machine.hpp"
-#include "workloads/bitcnt.hpp"
-#include "workloads/harness.hpp"
-#include "workloads/mmul.hpp"
-#include "workloads/zoom.hpp"
+#include "ci_cases.hpp"
 
 namespace dta::workloads {
 namespace {
 
 using Buckets = std::array<std::uint64_t, core::kNumBuckets>;
-
-enum class Kernel { kMmul, kZoom, kBitcnt };
 
 struct Pin {
     const char* name;  ///< "<kernel>_<variant>_<nodes>x<spes>"
@@ -67,44 +61,6 @@ const Pin kPins[] = {
      {249782, 6275563, 1343523, 94598, 186795, 8192, 170531}},
 };
 
-/// Reshapes a workload's paper machine (built for 8 SPEs) to the pin's
-/// node and SPE counts; every other knob stays as the workload sets it.
-core::MachineConfig shaped(core::MachineConfig cfg, const Pin& pin) {
-    cfg.nodes = pin.nodes;
-    cfg.spes_per_node = pin.spes_per_node;
-    return cfg;
-}
-
-/// Runs the pin's case with dta_bench's ci-scale parameters.
-RunOutcome run_pin(const Pin& pin) {
-    switch (pin.kernel) {
-        case Kernel::kMmul: {
-            MatMul::Params p;
-            p.n = 16;
-            p.threads = 16;
-            return run_workload(MatMul(p),
-                                shaped(MatMul::machine_config(8), pin),
-                                pin.prefetch);
-        }
-        case Kernel::kZoom: {
-            Zoom::Params p;
-            p.n = 16;
-            p.factor = 4;
-            p.threads = 16;
-            return run_workload(Zoom(p), shaped(Zoom::machine_config(8), pin),
-                                pin.prefetch);
-        }
-        case Kernel::kBitcnt: {
-            BitCount::Params p;
-            p.iterations = 1024;
-            return run_workload(BitCount(p),
-                                shaped(BitCount::machine_config(8), pin),
-                                pin.prefetch);
-        }
-    }
-    return {};
-}
-
 /// gtest names the failing parameter with this instead of a byte dump.
 void PrintTo(const Pin& pin, std::ostream* os) { *os << pin.name; }
 
@@ -112,7 +68,8 @@ class PaperPins : public ::testing::TestWithParam<Pin> {};
 
 TEST_P(PaperPins, ExactCyclesAndBreakdown) {
     const Pin& pin = GetParam();
-    const RunOutcome out = run_pin(pin);
+    const RunOutcome out =
+        run_ci_case(pin.kernel, pin.prefetch, pin.nodes, pin.spes_per_node);
     ASSERT_TRUE(out.correct) << out.detail;
     EXPECT_EQ(out.result.cycles, pin.cycles);
     EXPECT_EQ(out.result.total_breakdown().cycles, pin.buckets);

@@ -27,6 +27,15 @@ namespace dta::cli {
     std::exit(2);
 }
 
+/// A second input path where a tool takes one: one line, exit 2.
+[[noreturn]] inline void extra_argument(const char* argv0,
+                                        const std::string& arg,
+                                        const std::string& path) {
+    std::fprintf(stderr, "%s: unexpected argument '%s' (input is '%s')\n",
+                 argv0, arg.c_str(), path.c_str());
+    std::exit(2);
+}
+
 /// Checked unsigned parse: the whole of \p text must be one base-10 (or
 /// 0x-prefixed hex) integer in [lo, hi], else exit 2 with one line.
 inline std::uint64_t parse_u64(const char* argv0, const char* flag,

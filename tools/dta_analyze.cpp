@@ -45,11 +45,8 @@ struct Options {
 
 Options parse_options(int argc, char** argv) {
     Options opt;
-    if (argc < 2) {
-        usage(argv[0]);
-    }
-    opt.events_path = argv[1];
-    for (int i = 2; i < argc; ++i) {
+    bool have_path = false;
+    for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         const auto next = [&]() -> const char* {
             if (i + 1 >= argc) {
@@ -57,7 +54,9 @@ Options parse_options(int argc, char** argv) {
             }
             return argv[++i];
         };
-        if (a == "--json") {
+        if (a == "--help" || a == "-h") {
+            usage(argv[0]);
+        } else if (a == "--json") {
             opt.json_path = next();
         } else if (a == "--benchmark") {
             opt.benchmark = next();
@@ -66,10 +65,18 @@ Options parse_options(int argc, char** argv) {
                 cli::parse_uint<std::size_t>(argv[0], "--top", next(), 1);
         } else if (a == "--quiet") {
             opt.quiet = true;
-        } else {
+        } else if (!a.empty() && a[0] == '-') {
             std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
             usage(argv[0]);
+        } else if (!have_path) {
+            opt.events_path = a;
+            have_path = true;
+        } else {
+            cli::extra_argument(argv[0], a, opt.events_path);
         }
+    }
+    if (!have_path) {
+        usage(argv[0]);
     }
     return opt;
 }

@@ -156,11 +156,8 @@ struct Options {
 
 Options parse_options(int argc, char** argv) {
     Options opt;
-    if (argc < 2) {
-        usage(argv[0]);
-    }
-    opt.program_path = argv[1];
-    for (int i = 2; i < argc; ++i) {
+    bool have_path = false;
+    for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         const auto next = [&]() -> const char* {
             if (i + 1 >= argc) {
@@ -168,7 +165,9 @@ Options parse_options(int argc, char** argv) {
             }
             return argv[++i];
         };
-        if (a == "--spes") {
+        if (a == "--help" || a == "-h") {
+            usage(argv[0]);
+        } else if (a == "--spes") {
             opt.spes = cli::parse_uint<std::uint16_t>(argv[0], "--spes",
                                                       next(), 1);
         } else if (a == "--nodes") {
@@ -275,10 +274,18 @@ Options parse_options(int argc, char** argv) {
             const auto words = cli::parse_uint<std::uint32_t>(
                 argv[0], "--dump N", next(), 1);
             opt.dumps.emplace_back(addr, words);
-        } else {
+        } else if (!a.empty() && a[0] == '-') {
             std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
             usage(argv[0]);
+        } else if (!have_path) {
+            opt.program_path = a;
+            have_path = true;
+        } else {
+            cli::extra_argument(argv[0], a, opt.program_path);
         }
+    }
+    if (!have_path) {
+        usage(argv[0]);
     }
     return opt;
 }
