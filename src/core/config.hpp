@@ -107,17 +107,14 @@ struct MachineConfig {
     /// Profiling only reads the host clock — simulated results, fingerprints
     /// and the rest of RunResult are byte-identical either way.
     bool profile = false;
-    /// Jump over cycles in which no component can change state (see
-    /// sim::Component::next_activity).  Results are cycle-exact either way;
-    /// this only trades host time.  The DTA_NO_FASTFORWARD environment
-    /// variable force-disables it (escape hatch for A/B debugging).
-    bool fast_forward = true;
-    /// Drive the run loop from the event-driven scheduler (sim/wheel.hpp):
-    /// each component is visited only at its declared next_activity() cycle,
-    /// with inbound traffic re-arming sleepers.  Results are byte-identical
-    /// either way; off falls back to the dense per-cycle loop (the
-    /// differential oracle for tests and fuzzing).  The DTA_NO_WHEEL
-    /// environment variable force-disables it, mirroring DTA_NO_FASTFORWARD.
+    /// The scheduling policy of the one run loop (sim/wheel.hpp).  On (the
+    /// default), each component is visited only at its declared
+    /// next_activity() cycle, inbound traffic re-arms sleepers, and the
+    /// loop jumps over cycles at which nothing is due.  Off is the
+    /// per-cycle reference: every component is re-armed at now + 1 after
+    /// each pass, so each one is ticked every cycle in list order and no
+    /// horizon decides a visit.  Results are byte-identical either way;
+    /// only tests and dta_fuzz turn it off, as the differential oracle.
     bool use_wheel = true;
     /// Retired: a machine always runs on one host thread, and host
     /// parallelism comes from running independent jobs at once (serve's

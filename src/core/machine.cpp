@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -91,9 +90,6 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
                         "event collection needs total PEs <= 65535 (thread "
                         "uids pack the PE index into 16 wire bits)");
     }
-    fast_forward_ =
-        cfg_.fast_forward && std::getenv("DTA_NO_FASTFORWARD") == nullptr;
-    use_wheel_ = cfg_.use_wheel && std::getenv("DTA_NO_WHEEL") == nullptr;
 
     // Containers that components keep pointers into are sized up front so
     // the port bindings below stay valid.
@@ -116,10 +112,6 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     for (sim::GlobalPeId id = 0; id < cfg_.total_pes(); ++id) {
         pes_.push_back(std::make_unique<Pe>(cfg_, topo_, id, prog_, decoded_,
                                              logger_));
-        // Parking is the PE's own cheap idle shortcut for the dense loop.
-        // Under the wheel a parked PE is never visited before its horizon,
-        // so parking would only compute next_activity twice per quiet tick.
-        pes_.back()->set_parking(fast_forward_ && !use_wheel_);
         if (cfg_.capture_spans) {
             pes_.back()->set_span_sink(&spans_);
         }
@@ -215,7 +207,7 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     if (cfg_.audit.enabled) {
         audit_interval_ = cfg_.audit.effective_interval();
         // The auditor carries every per-component check plus the final
-        // quiescence checks; the run loops sweep it at audit_interval_ and
+        // quiescence checks; the run loop sweeps it at audit_interval_ and
         // run the final checks once at the end.
         register_audit_checks();
         register_final_checks();
@@ -235,14 +227,9 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
         prof_.reset(components_.size());
     }
 
-    if (use_wheel_) {
-        // Event-driven core.  When the wheel is off (--no-wheel /
-        // DTA_NO_WHEEL) no waker is ever bound, so the dense oracle pays
-        // nothing and behaves exactly as before.
-        wheel_.attach(components_);
-        wheel_.set_prof(prof_buffer());
-        attach_wakers();
-    }
+    wheel_.attach(components_);
+    wheel_.set_prof(prof_buffer());
+    attach_wakers();
 }
 
 void Machine::attach_wakers() {
@@ -257,8 +244,8 @@ void Machine::attach_wakers() {
     };
     sim::WheelScheduler& sched = wheel_;
     // Every queue a component drains wakes that component when written; the
-    // scheduler's dense-order rule decides whether the wake joins the
-    // producer's cycle (producer index below consumer index — the dense
+    // scheduler's list-order rule decides whether the wake joins the
+    // producer's cycle (producer index below consumer index — a per-cycle
     // loop would tick the consumer later the same cycle) or the next one.
     for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
         const std::uint32_t router_idx = index_of(routers_[n].get());
@@ -477,7 +464,7 @@ void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
                             const isa::Program& prog) {
     // Structural knobs only: everything that shapes what the machine *is*
     // (and therefore the snapshot's section layout and semantics).  Observer
-    // knobs — audit, log_level, profile, fast_forward, use_wheel — are
+    // knobs — audit, log_level, profile, telemetry, use_wheel — are
     // deliberately absent so a snapshot can be replayed with different
     // instrumentation (the time-travel use case).  Note collect_metrics /
     // collect_events / capture_spans ARE structural: they decide whether
@@ -581,13 +568,10 @@ void Machine::save_snapshot_file(sim::Cycle cycle,
 }
 
 void Machine::write_snapshot(sim::Cycle cycle) {
-    if (wheel_.started()) {
-        // Under the wheel, sleepers lag behind on skip bookkeeping; settle
-        // it so the snapshot is the exact dense-loop state at the cut.
-        // Wheel entries themselves are untouched (and never serialised —
-        // restore re-arms from component horizons).
-        wheel_.catch_up(cycle);
-    }
+    // Sleepers lag behind on skip bookkeeping; settle it so the snapshot is
+    // the exact per-cycle state at the cut.  The due array itself is
+    // untouched (and never serialised — restore re-arms every component).
+    wheel_.catch_up(cycle);
     const std::string path =
         checkpoint_prefix_ + ".c" + std::to_string(cycle) + ".dtasnap";
     save_snapshot_file(cycle, path);
@@ -689,9 +673,7 @@ RunResult Machine::stop_early(sim::Cycle cycle) {
     logger_.log(sim::LogLevel::kInfo, cycle, "machine",
                 "stopped at cycle " + std::to_string(cycle) +
                     " (stop-at); machine not quiescent");
-    if (wheel_.started()) {
-        wheel_.catch_up(cycle);
-    }
+    wheel_.catch_up(cycle);
     events_.canonicalize();
     return gather(cycle);
 }
@@ -701,42 +683,6 @@ RunResult Machine::stop_early(sim::Cycle cycle) {
 // ---------------------------------------------------------------------------
 
 using sim::prof_charge;
-
-void Machine::tick_cycle(sim::Cycle now, std::uint64_t& t) {
-    sim::ProfBuffer* const pb = prof_buffer();
-    if (pb == nullptr) {
-        for (sim::Component* c : components_) {
-            c->tick(now);
-        }
-    } else {
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            components_[i]->tick(now);
-            prof_charge(pb, t, static_cast<std::uint32_t>(i + 1),
-                        sim::ProfPhase::kTick);
-        }
-    }
-    if (metrics_.enabled() && now % cfg_.metrics_sample_interval == 0) {
-        sample_gauges(now);
-        if (pb != nullptr) {
-            prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
-                        sim::ProfPhase::kSample);
-        }
-    }
-    if (telemetry_ != nullptr && now == telemetry_next_) {
-        capture_telemetry(now);
-        if (pb != nullptr) {
-            prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
-                        sim::ProfPhase::kSample);
-        }
-    }
-    if (audit_interval_ != 0 && now % audit_interval_ == 0) {
-        auditor_.run(now);
-        if (pb != nullptr) {
-            prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
-                        sim::ProfPhase::kAudit);
-        }
-    }
-}
 
 void Machine::capture_telemetry(sim::Cycle now) {
     if (telemetry_ == nullptr) {
@@ -764,10 +710,8 @@ void Machine::capture_telemetry(sim::Cycle now) {
     telemetry_next_ = now + cfg_.telemetry.interval;
     // Host-side tail (NDJSON stream / Perfetto only; never the JSON report).
     f.host_ns = sim::prof_now_ns();
-    if (wheel_.started()) {
-        f.wheel_armed = wheel_.armed();
-        f.wheel_pops = wheel_.stats().pops;
-    }
+    f.wheel_armed = wheel_.armed();
+    f.wheel_pops = wheel_.stats().pops;
     telemetry_->record(f, check_quiescent());
 }
 
@@ -790,8 +734,26 @@ void Machine::sample_gauges(sim::Cycle now) {
         // tracks rendered next to the simulated Perfetto tracks.
         prof_.snapshot(now);
     }
-    if (wheel_.started()) {
-        wheel_.sample(now);
+    wheel_.sample(now);
+}
+
+void Machine::sample_span(sim::Cycle from, sim::Cycle to) {
+    sim::ProfBuffer* const pb = prof_buffer();
+    if (metrics_.enabled()) {
+        const sim::Cycle step = cfg_.metrics_sample_interval;
+        for (sim::Cycle c = ((from + step - 1) / step) * step; c < to;
+             c += step) {
+            const sim::ProfScope ps(pb, sim::ProfBuffer::kShardSlot,
+                                    sim::ProfPhase::kSample);
+            sample_gauges(c);
+        }
+    }
+    if (telemetry_ != nullptr) {
+        while (telemetry_next_ < to) {
+            const sim::ProfScope ps(pb, sim::ProfBuffer::kShardSlot,
+                                    sim::ProfPhase::kSample);
+            capture_telemetry(telemetry_next_);
+        }
     }
 }
 
@@ -854,44 +816,27 @@ void Machine::throw_deadlock(sim::Cycle now, sim::Cycle stalled,
                   " cycles" + tail);
 }
 
-void Machine::fast_forward_span(sim::Cycle from, sim::Cycle to,
-                                std::uint64_t& last_fp,
-                                sim::Cycle& last_progress) {
-    sim::ProfBuffer* const pb = prof_buffer();
-    const sim::ProfScope prof(pb, sim::ProfBuffer::kShardSlot,
+void Machine::check_progress(sim::Cycle c, std::uint64_t fp) {
+    if (fp != watch_fp_) {
+        watch_fp_ = fp;
+        watch_since_ = c;
+    } else if (c - watch_since_ > cfg_.no_progress_limit) {
+        throw_deadlock(c, c - watch_since_, false);
+    }
+}
+
+void Machine::replay_span(sim::Cycle from, sim::Cycle to) {
+    const sim::ProfScope prof(prof_buffer(), sim::ProfBuffer::kShardSlot,
                               sim::ProfPhase::kFastforwardScan);
-    for (sim::Component* c : components_) {
-        c->skip(from, to);
-    }
     skipped_ += to - from;
-    // Replay the gauge samples the per-cycle loop would have taken.  No
-    // component state changes on a skipped cycle (that is what the horizon
-    // guarantees), so every sample in the span reads the current values.
-    if (metrics_.enabled()) {
-        const sim::Cycle step = cfg_.metrics_sample_interval;
-        for (sim::Cycle c = ((from + step - 1) / step) * step; c < to;
-             c += step) {
-            const sim::ProfScope ps(pb, sim::ProfBuffer::kShardSlot,
-                                    sim::ProfPhase::kSample);
-            sample_gauges(c);
-        }
-    }
-    // Telemetry frames follow the same replay rule: state is frozen across
-    // the span, so each missed sample cycle reads the current values.
-    if (telemetry_ != nullptr) {
-        while (telemetry_next_ < to) {
-            capture_telemetry(telemetry_next_);
-        }
-    }
-    // Replay the deadlock checkpoints (cycles ending in 0xfff).  The
-    // fingerprint is frozen across the span for the same reason.
-    const std::uint64_t fp = fingerprint();
-    for (sim::Cycle c = from | 0xfff; c < to; c += 0x1000) {
-        if (fp != last_fp) {
-            last_fp = fp;
-            last_progress = c;
-        } else if (c - last_progress > cfg_.no_progress_limit) {
-            throw_deadlock(c, c - last_progress, false);
+    sample_span(from, to);
+    // The span's no-progress checkpoints all read the same frozen
+    // fingerprint, so it is computed once.
+    sim::Cycle c = from | 0xfff;
+    if (c < to) {
+        const std::uint64_t fp = fingerprint();
+        for (; c < to; c += 0x1000) {
+            check_progress(c, fp);
         }
     }
 }
@@ -906,22 +851,18 @@ RunResult Machine::run() {
         const sim::Cycle step = cfg_.telemetry.interval;
         telemetry_next_ = ((restore_cycle_ + step - 1) / step) * step;
     }
-    if (use_wheel_) {
-        return run_wheel();
-    }
     sim::ProfBuffer* const pb = prof_buffer();
     const std::uint64_t wall0 = pb != nullptr ? sim::prof_now_ns() : 0;
     // Chained timing boundary: starts at the wall-clock origin so the loop
     // has no un-attributed gaps (every span between boundaries is charged
     // to exactly one phase; nested scopes subtract as orphan child time).
     std::uint64_t t = wall0;
+    wheel_.start(restore_cycle_);
+    watch_since_ = restore_cycle_;
     sim::Cycle now = restore_cycle_;
-    std::uint64_t last_fp = ~0ull;
-    sim::Cycle last_progress = restore_cycle_;
-    std::uint64_t prev_fp = ~0ull;  ///< gate: last cycle's fingerprint
     while (now < cfg_.max_cycles) {
         // Checkpoint/stop cuts land at the top of the iteration, before the
-        // tick of `now`: all accounting covers exactly [start, now), which
+        // visits of `now`: all accounting covers exactly [start, now), which
         // is the state a restore resumes from.
         if (checkpoint_every_ != 0 && now != restore_cycle_ &&
             now % checkpoint_every_ == 0) {
@@ -933,123 +874,14 @@ RunResult Machine::run() {
             }
             return stop_early(now);
         }
-        tick_cycle(now, t);
-        if (progress_interval_ != 0) {
-            report_progress(now);
-        }
-        const bool quiet = check_quiescent();
-        if (pb != nullptr) {
-            prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
-                        sim::ProfPhase::kQuiescence);
-        }
-        if (quiet) {
-            logger_.log(sim::LogLevel::kInfo, now, "machine",
-                        "quiescent; simulation complete");
-            if (cfg_.audit.enabled) {
-                auditor_.run_final(now);
-            }
-            events_.canonicalize();
-            if (pb != nullptr) {
-                pb->set_wall_ns(sim::prof_now_ns() - wall0);
-            }
-            return gather(now + 1);
-        }
-        const std::uint64_t fp = fingerprint();
-        // No-progress (deadlock) detection.  A live machine issues
-        // instructions, delivers packets or completes memory accesses; if
-        // the activity fingerprint freezes for longer than any
-        // architectural latency, the run is stuck — typically FALLOCs
-        // blocking a pipeline while every free-able frame needs that
-        // pipeline to finish.
-        if ((now & 0xfff) == 0xfff) {
-            if (fp != last_fp) {
-                last_fp = fp;
-                last_progress = now;
-            } else if (now - last_progress > cfg_.no_progress_limit) {
-                throw_deadlock(now, now - last_progress, false);
-            }
-        }
-        sim::Cycle next = now + 1;
-        // Horizons are only worth consulting when the tick just taken made
-        // no observable progress: a cycle that issued an instruction,
-        // delivered a packet or retired a memory access is the middle of a
-        // busy stretch, and some component would report now+1 anyway.  The
-        // fingerprint is a dozen counter loads — far cheaper than asking
-        // every component for its horizon.
-        if (fast_forward_ && fp == prev_fp) {
-            sim::Cycle h = sim::kIdleForever;
-            for (const sim::Component* c : components_) {
-                h = std::min(h, c->next_activity(now));
-                if (h <= next) {
-                    break;  // can't skip anything; stop asking
-                }
-            }
-            if (h == sim::kIdleForever) {
-                // Nothing in flight anywhere can ever change state again:
-                // a certain deadlock the fingerprint check would only
-                // confirm after no_progress_limit cycles.
-                throw_deadlock(now, 0, true);
-            }
-            DTA_CHECK_MSG(h > now, "component horizon not in the future");
-            h = std::min<sim::Cycle>(h, cfg_.max_cycles);
-            // Land exactly on checkpoint/stop cuts (result-neutral: by the
-            // horizon contract a skipped cycle equals a ticked one).
-            h = std::min(h, next_cut(now));
-            if (h > next) {
-                fast_forward_span(next, h, last_fp, last_progress);
-                next = h;
-            }
-        }
-        prev_fp = fp;
-        now = next;
-        // The fingerprint, the horizon scan, and the loop tail all belong
-        // to the idle-detection machinery; a fast-forward span inside (its
-        // own scope) was already claimed and subtracts as orphan child
-        // time.
-        if (pb != nullptr) {
-            prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
-                        sim::ProfPhase::kNextActivity);
-        }
-    }
-    DTA_SIM_ERROR("simulation exceeded max_cycles (" +
-                  std::to_string(cfg_.max_cycles) + ")");
-}
-
-RunResult Machine::run_wheel() {
-    sim::ProfBuffer* const pb = prof_buffer();
-    const std::uint64_t wall0 = pb != nullptr ? sim::prof_now_ns() : 0;
-    std::uint64_t t = wall0;
-    wheel_.start(restore_cycle_);
-    sim::Cycle now = restore_cycle_;
-    std::uint64_t last_fp = ~0ull;
-    sim::Cycle last_progress = restore_cycle_;
-    std::uint64_t prev_fp = ~0ull;  ///< fingerprint after the previous cycle
-    while (now < cfg_.max_cycles) {
-        if (checkpoint_every_ != 0 && now != restore_cycle_ &&
-            now % checkpoint_every_ == 0) {
-            write_snapshot(now);
-        }
-        if (stop_at_ != 0 && now >= stop_at_) {
-            if (pb != nullptr) {
-                pb->set_wall_ns(sim::prof_now_ns() - wall0);
-            }
-            return stop_early(now);
-        }
         wheel_.run_cycle(now, pb, t);
-        if (metrics_.enabled() && now % cfg_.metrics_sample_interval == 0) {
-            sample_gauges(now);
-            if (pb != nullptr) {
-                prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
-                            sim::ProfPhase::kSample);
-            }
+        if (!cfg_.use_wheel) {
+            // The per-cycle reference policy: every component is due again
+            // next cycle, so each one is ticked every cycle in list order
+            // and no horizon decides a visit.
+            wheel_.arm_all(now + 1);
         }
-        if (telemetry_ != nullptr && now == telemetry_next_) {
-            capture_telemetry(now);
-            if (pb != nullptr) {
-                prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
-                            sim::ProfPhase::kSample);
-            }
-        }
+        sample_span(now, now + 1);
         if (audit_interval_ != 0 && now % audit_interval_ == 0) {
             auditor_.run(now);
             if (pb != nullptr) {
@@ -1084,59 +916,27 @@ RunResult Machine::run_wheel() {
             }
             return gather(now + 1);
         }
-        const std::uint64_t fp = fingerprint();
+        // No-progress (deadlock) detection.  A live machine issues
+        // instructions, delivers packets or completes memory accesses; if
+        // the activity fingerprint freezes for longer than any
+        // architectural latency, the run is stuck — typically FALLOCs
+        // blocking a pipeline while every free-able frame needs that
+        // pipeline to finish.
         if ((now & 0xfff) == 0xfff) {
-            if (fp != last_fp) {
-                last_fp = fp;
-                last_progress = now;
-            } else if (now - last_progress > cfg_.no_progress_limit) {
-                throw_deadlock(now, now - last_progress, false);
-            }
+            check_progress(now, fingerprint());
         }
         if (wheel_.idle()) {
-            // Every horizon came back kIdleForever with the machine still
-            // non-quiescent: certain deadlock.  The dense loop scans
-            // horizons only once its fingerprint freezes, so it reports one
-            // cycle later when the final tick still made progress — mirror
-            // that for byte-identical failure text.
-            throw_deadlock(fp == prev_fp ? now : now + 1, 0, true);
+            // This cycle's visits left every horizon at kIdleForever with
+            // the machine still non-quiescent: nothing in flight can ever
+            // change state again, a certain deadlock the no-progress check
+            // would only confirm after no_progress_limit cycles.
+            throw_deadlock(now, 0, true);
         }
-        sim::Cycle next = wheel_.next_due();
-        next = std::min<sim::Cycle>(next, cfg_.max_cycles);
-        next = std::min(next, next_cut(now));
+        const sim::Cycle next =
+            std::min({wheel_.next_due(), cfg_.max_cycles, next_cut(now)});
         if (next > now + 1) {
-            // Inactive span [now + 1, next): no live wheel entry, so by the
-            // horizon contract observable state is frozen.  Replay the side
-            // effects the dense loop takes per cycle — gauge samples and
-            // deadlock checkpoints — against that frozen state; component
-            // skip() bookkeeping stays lazy (applied at each next visit).
-            const sim::ProfScope ff(pb, sim::ProfBuffer::kShardSlot,
-                                    sim::ProfPhase::kFastforwardScan);
-            skipped_ += next - (now + 1);
-            if (metrics_.enabled()) {
-                const sim::Cycle step = cfg_.metrics_sample_interval;
-                for (sim::Cycle c = ((now + 1 + step - 1) / step) * step;
-                     c < next; c += step) {
-                    const sim::ProfScope ps(pb, sim::ProfBuffer::kShardSlot,
-                                            sim::ProfPhase::kSample);
-                    sample_gauges(c);
-                }
-            }
-            if (telemetry_ != nullptr) {
-                while (telemetry_next_ < next) {
-                    capture_telemetry(telemetry_next_);
-                }
-            }
-            for (sim::Cycle c = (now + 1) | 0xfff; c < next; c += 0x1000) {
-                if (fp != last_fp) {
-                    last_fp = fp;
-                    last_progress = c;
-                } else if (c - last_progress > cfg_.no_progress_limit) {
-                    throw_deadlock(c, c - last_progress, false);
-                }
-            }
+            replay_span(now + 1, next);
         }
-        prev_fp = fp;
         now = next;
         if (pb != nullptr) {
             prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
@@ -1207,9 +1007,7 @@ RunResult Machine::gather(sim::Cycle cycles) const {
         }
         sim::merge_prof_buffer(r.host_profile, prof_, names);
     }
-    if (use_wheel_) {
-        r.wheel = wheel_.stats();
-    }
+    r.wheel = wheel_.stats();
     if (telemetry_ != nullptr) {
         r.telemetry = telemetry_->result();
     }

@@ -5,9 +5,10 @@
 ///
 /// Every timed part of the machine is a sim::Component registered in one
 /// scheduler list; wiring between them is declared once at construction as
-/// typed sim::Port bindings.  The run loop drives the list cycle by cycle
-/// and — when every component agrees nothing can happen before cycle T —
-/// fast-forwards straight to T (cycle-exact; see docs/ARCHITECTURE.md).
+/// typed sim::Port bindings.  One run loop drives the list through the
+/// due-array scheduler (sim/wheel.hpp): each component is visited only at
+/// the cycle it declared, and the loop jumps straight over cycles at which
+/// nothing is due (cycle-exact; see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>
@@ -87,15 +88,16 @@ struct RunResult {
     /// only: every other RunResult field is byte-identical with profiling
     /// on or off.
     sim::HostProfile host_profile;
-    /// Event-driven scheduler behaviour (only when MachineConfig::use_wheel;
-    /// otherwise disabled and empty).  Host-side only, like host_profile:
-    /// excluded from the JSON run report and every byte-identity comparison
-    /// — the simulated results are byte-identical with the wheel on or off.
+    /// The scheduler's own behaviour (always collected).  Host-side only,
+    /// like host_profile: excluded from the JSON run report and every
+    /// byte-identity comparison — the simulated results are byte-identical
+    /// under the default scheduler and the per-cycle reference
+    /// (MachineConfig::use_wheel), while these counters are not.
     sim::WheelStats wheel;
     /// Live-telemetry timeline (only when MachineConfig::telemetry.enabled;
     /// otherwise disabled and empty).  The frames' simulated fields are
-    /// deterministic — byte-identical with the wheel on or off — and are
-    /// serialised into the JSON report's `telemetry`
+    /// deterministic — byte-identical under either scheduling policy — and
+    /// are serialised into the JSON report's `telemetry`
     /// section; the host-side frame tail (host_ns, wheel_*) rides only the
     /// NDJSON stream, exactly like RunResult::wheel.
     sim::TelemetryResult telemetry;
@@ -113,8 +115,8 @@ struct RunResult {
 /// plus a digest of the loaded program — into \p s.  Shared by Machine
 /// snapshots (the snapshot's `config` section and its fingerprint) and the
 /// serve result cache (docs/SERVING.md), which keys memoized runs on the
-/// same bytes.  Observer knobs (log level, audits, profiling, fast-forward,
-/// the wheel) are deliberately excluded.
+/// same bytes.  Observer knobs (log level, audits, profiling, telemetry,
+/// the scheduling policy) are deliberately excluded.
 void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
                             const isa::Program& prog);
 
@@ -152,8 +154,8 @@ public:
     struct Progress {
         sim::Cycle cycle = 0;
         std::uint64_t live_threads = 0;
-        sim::Cycle ticked = 0;   ///< cycles advanced by per-cycle ticking
-        sim::Cycle skipped = 0;  ///< cycles advanced by idle fast-forward
+        sim::Cycle ticked = 0;   ///< cycles the run loop landed on
+        sim::Cycle skipped = 0;  ///< cycles it jumped (nothing was due)
         /// Live-telemetry summary (zero / empty unless telemetry is on and
         /// a frame has been captured): cumulative retired instructions at
         /// the latest sample, its cycle, and the busiest component's name.
@@ -195,8 +197,8 @@ public:
     // --- checkpoint/restore (sim/snapshot.hpp) ---------------------------
     /// FNV-1a 64 hash over the serialised structural config echo plus a
     /// digest of the loaded program.  Snapshots carry it; restore refuses a
-    /// mismatch.  Observer knobs (log level, audits, profiling,
-    /// fast-forward, the wheel) are excluded so a snapshot can be replayed
+    /// mismatch.  Observer knobs (log level, audits, profiling, telemetry,
+    /// the scheduling policy) are excluded so a snapshot can be replayed
     /// with extra instrumentation turned on — time-travel debugging.
     [[nodiscard]] std::uint64_t config_fingerprint() const;
     /// Writes a snapshot of the current (launched, not yet run — or
@@ -236,19 +238,26 @@ public:
         return static_cast<std::uint32_t>(pes_.size());
     }
     [[nodiscard]] sched::Dse& dse(std::uint16_t node) { return dses_[node]; }
-    /// Cycles run() jumped over instead of ticking (0 with fast-forward
-    /// off).  Deliberately *not* part of RunResult: results are identical
-    /// either way.
+    /// Cycles run() jumped over because no component was due (always 0
+    /// under the per-cycle reference policy).  Deliberately *not* part of
+    /// RunResult: results are identical either way.
     [[nodiscard]] sim::Cycle cycles_fast_forwarded() const { return skipped_; }
 
 private:
-    void tick_cycle(sim::Cycle now, std::uint64_t& prof_t);
     void sample_gauges(sim::Cycle now);
-    /// The event-driven run loop (use_wheel on): visits each component
-    /// only at its scheduled cycle and replays the dense loop's observable
-    /// side effects (gauge samples, deadlock checkpoints) over the jumped
-    /// spans, so every RunResult byte matches run()'s.
-    [[nodiscard]] RunResult run_wheel();
+    /// Gauge samples and telemetry frames owed to cycles [from, to), all of
+    /// which read the machine's current state.
+    void sample_span(sim::Cycle from, sim::Cycle to);
+    /// Replays the per-cycle side effects of the skipped span [from, to)
+    /// — gauge samples, telemetry frames and no-progress checkpoints —
+    /// against the state the last visit left, which no cycle of the span
+    /// changes (the horizon contract).  Component skip() bookkeeping stays
+    /// lazy: the scheduler applies it at each component's next visit.
+    void replay_span(sim::Cycle from, sim::Cycle to);
+    /// One no-progress checkpoint (cycles ending in 0xfff): throws the
+    /// deadlock error once the activity fingerprint \p fp has not changed
+    /// for more than no_progress_limit cycles.
+    void check_progress(sim::Cycle c, std::uint64_t fp);
     /// Binds the wake hooks of every port a component drains to wheel_,
     /// addressing each consumer by its index in components_.
     void attach_wakers();
@@ -266,10 +275,6 @@ private:
     [[nodiscard]] std::string non_quiescent_names() const;
     [[noreturn]] void throw_deadlock(sim::Cycle now, sim::Cycle stalled,
                                      bool idle_forever) const;
-    /// Applies the bookkeeping of skipped cycles [from, to): component
-    /// skip() hooks, gauge samples, deadlock checkpoints.
-    void fast_forward_span(sim::Cycle from, sim::Cycle to,
-                           std::uint64_t& last_fp, sim::Cycle& last_progress);
     [[nodiscard]] RunResult gather(sim::Cycle cycles) const;
 
     // --- checkpoint/restore internals ------------------------------------
@@ -282,7 +287,7 @@ private:
     /// prefix and records it for last_checkpoint_*).
     void write_snapshot(sim::Cycle cycle);
     /// Next cycle the run loop must land on exactly (checkpoint multiple or
-    /// stop_at); kCycleNever when neither is armed.  Fast-forward spans are
+    /// stop_at); kCycleNever when neither is armed.  Skipped spans are
     /// clamped to it — result-neutral, skipping is accounting-identical.
     [[nodiscard]] sim::Cycle next_cut(sim::Cycle now) const;
     /// The early-exit path of --stop-at: canonicalise what was collected
@@ -291,7 +296,7 @@ private:
 
     /// Captures one machine-wide telemetry frame at \p now (post-tick
     /// state).  No-op unless cfg_.telemetry.enabled.  Called from the run
-    /// loops at sample cycles, and replayed over fast-forwarded spans.
+    /// loop at visited sample cycles, and replayed over skipped spans.
     void capture_telemetry(sim::Cycle now);
     /// Fires progress_ if \p now crossed the next reporting threshold.
     void report_progress(sim::Cycle now);
@@ -307,8 +312,6 @@ private:
     sched::Topology topo_;
     FabricLayout layout_;
     sim::Logger logger_;
-    bool fast_forward_ = true;  ///< cfg_.fast_forward minus env override
-    bool use_wheel_ = true;     ///< cfg_.use_wheel minus DTA_NO_WHEEL
 
     mem::MainMemory mem_;
     std::vector<noc::Interconnect> fabrics_;  ///< one per node
@@ -319,14 +322,18 @@ private:
     std::vector<std::unique_ptr<NodeRouter>> routers_;  ///< one per node
 
     /// Scheduler order: fabrics, DSEs, memif, PEs, routers — the exact
-    /// dependency order of the seed's hand-rolled tick_cycle.
+    /// dependency order of the seed's hand-rolled per-cycle loop.
     std::vector<sim::Component*> components_;
     /// Index into components_ of the last non-quiescent component seen by
     /// check_quiescent() (a search hint; never changes a result).
     mutable std::size_t quiet_witness_ = 0;
     sim::Cycle skipped_ = 0;
-    /// Event-driven scheduler of the wheel run loop.
+    /// The scheduler that drives every run.
     sim::WheelScheduler wheel_;
+    /// No-progress watch: the fingerprint read at the last checkpoint and
+    /// the checkpoint cycle at which it last changed.
+    std::uint64_t watch_fp_ = ~0ull;
+    sim::Cycle watch_since_ = 0;
 
     std::vector<ThreadSpan> spans_;  ///< filled when cfg_.capture_spans
 
@@ -347,13 +354,12 @@ private:
     sim::ProfBuffer prof_;
 
     // live telemetry (live only when cfg_.telemetry.enabled; off = one
-    // null check at the run loops' sample sites)
+    // null check at the run loop's sample sites)
     std::unique_ptr<sim::TelemetrySampler> telemetry_;
     // Next cycle owed a telemetry frame (always a multiple of the
     // interval).  capture_telemetry advances it, so the hot sample sites
-    // test equality instead of a per-cycle 64-bit modulo, and the
-    // fast-forward replay loops walk it directly with no alignment
-    // division.
+    // test against it instead of a per-cycle 64-bit modulo, and the
+    // skipped-span replay walks it directly with no alignment division.
     sim::Cycle telemetry_next_ = 0;
 
     // metrics (live only when cfg_.collect_metrics)

@@ -1014,11 +1014,10 @@ void Pe::save_state(sim::StateSink& s) const {
     s.u32(outstanding_reads_);
     s.u32(outstanding_lsloads_);
     s.u32(outstanding_fallocs_);
-    // pipeline control + parked fast path
+    // pipeline control
     s.u64(busy_until_);
     s.u8(static_cast<std::uint8_t>(busy_reason_));
     s.u64(ls_req_seq_);
-    s.u64(park_until_);
     // statistics
     for (const std::uint64_t c : breakdown_.cycles) {
         s.u64(c);
@@ -1068,7 +1067,6 @@ void Pe::load_state(sim::StateSource& s) {
     busy_until_ = s.u64();
     busy_reason_ = static_cast<BusyReason>(s.u8());
     ls_req_seq_ = s.u64();
-    park_until_ = s.u64();
     for (std::uint64_t& c : breakdown_.cycles) {
         c = s.u64();
     }

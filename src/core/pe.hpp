@@ -62,37 +62,10 @@ public:
     /// One full PE cycle: local store, then units, then the SPU pipeline.
     /// PEs share no intra-cycle state, so fusing the three seed phases
     /// per-PE is cycle-equivalent to the seed's three machine-wide loops.
-    ///
-    /// Under the dense loop a stalled PE *parks*: after a quiet cycle it
-    /// computes its own next_activity() once and, until that horizon
-    /// expires or a packet arrives in its inbox, each tick reduces to the
-    /// one-cycle skip() bookkeeping.  This is the per-component analogue of
-    /// the machine's idle-cycle fast-forward and relies on the same horizon
-    /// contract (see set_parking()).
     void tick(sim::Cycle now) override {
-        if (now < park_until_ && inbox_.empty()) {
-            skip(now, now + 1);
-            return;
-        }
-        const std::uint64_t issued = cycles_with_issue_;
         tick_local_store(now);
         tick_units(now);
         tick_spu(now);
-        if (parking_ && cycles_with_issue_ == issued && inbox_.empty() &&
-            outgoing_.empty()) {
-            park_until_ = next_activity(now);
-        } else {
-            park_until_ = 0;
-        }
-    }
-
-    /// Enables the parked fast path.  Parking serves only the dense loop
-    /// with fast-forward on: DTA_NO_FASTFORWARD keeps that loop a pure
-    /// per-cycle reference, and the wheel never visits a PE before its
-    /// horizon, so there parking would only repeat next_activity().
-    void set_parking(bool on) {
-        parking_ = on;
-        park_until_ = 0;
     }
 
     /// Earliest cycle this PE (SPU + LS + LSE + MFC) could change state.
@@ -287,10 +260,6 @@ private:
     sim::Cycle busy_until_ = 0;
     BusyReason busy_reason_ = BusyReason::kNone;
     std::uint64_t ls_req_seq_ = 1;
-
-    // parked fast path (see tick())
-    bool parking_ = false;
-    sim::Cycle park_until_ = 0;
 
     // statistics
     Breakdown breakdown_;

@@ -93,8 +93,8 @@ struct CodeProfile {
 /// components (occupancy) plus per-sampling-interval pop and insert rates
 /// ("shard0/..." tracks), plotted against simulated time.  \p wheel
 /// disabled or without samples adds nothing (the output is then
-/// byte-identical to the host variant — which is how `--no-wheel` runs and
-/// the wheel-vs-dense determinism tests keep their traces comparable).
+/// byte-identical to the host variant, which the scheduler-policy
+/// determinism tests use to keep their traces comparable).
 [[nodiscard]] std::string chrome_trace_json(
     const std::vector<ThreadSpan>& spans,
     const std::vector<std::string>& code_names,

@@ -16,10 +16,9 @@
 /// "Assuming no new input" is what makes the contract local: a component
 /// waiting on an in-flight request (a DMA line crossing the NoC, a read
 /// queued at the memory controller) reports `kIdleForever`, because the
-/// component currently *carrying* that request reports a finite horizon.
-/// The machine takes the minimum across all registered components, so the
-/// carrier bounds the global jump. A component must be conservative in two
-/// situations:
+/// component currently *carrying* that request reports a finite horizon,
+/// and its delivery wakes the waiter (below). A component must be
+/// conservative in two situations:
 ///
 ///  1. Any non-empty queue it drains on a best-effort basis each tick
 ///     (an outbox waiting for fabric credit, a port it retries) forces a
@@ -28,23 +27,22 @@
 ///     request, starting a decode) must not be skipped; report `now + 1`
 ///     until the mutation has happened.
 ///
-/// When the machine jumps from cycle `c` to cycle `h`, it calls
-/// `skip(c + 1, h)` on every component so per-cycle bookkeeping that the
-/// per-cycle loop would have produced (idle/prefetch breakdown charges,
-/// stale-by-one timestamp reads) is applied in bulk. Results must be
-/// bit-identical to ticking every cycle in `[from, to)`.
+/// `skip(from, to)` accounts for cycles a component is not ticked: the
+/// per-cycle bookkeeping ticking would have produced (idle/prefetch
+/// breakdown charges, stale-by-one timestamp reads) is applied in bulk.
+/// Results must be bit-identical to ticking every cycle in `[from, to)`.
 ///
-/// ## The re-arm/wake contract (event-driven scheduler)
+/// ## The re-arm/wake contract (the scheduler)
 ///
-/// The event-driven scheduler (sim/wheel.hpp) leans on the horizon
-/// contract *per component* instead of globally: after every tick the
-/// component is re-armed at exactly `next_activity(now)` in the scheduler's
-/// due array and is not visited before then.
+/// The scheduler (sim/wheel.hpp) applies the horizon contract *per
+/// component*: after every tick the component is re-armed at exactly
+/// `next_activity(now)` in the scheduler's due array and is not visited
+/// before then.
 /// The "assuming no new input" escape hatch is closed by wakes: every queue
 /// a component drains carries a `Waker` binding (Port<T>::set_waker, or the
 /// equivalent hook on the fabric), so the
 /// moment a producer pushes, the sleeping consumer is re-armed — at the
-/// current cycle if the dense tick order would still reach it this cycle
+/// current cycle if the list's tick order would still reach it this cycle
 /// (producer index below consumer index in the scheduler list), else at the
 /// next one. Two consequences for implementers:
 ///
@@ -56,10 +54,11 @@
 ///     draining its node's outboxes) counts as "its" queue here.
 ///  2. A sleeping component's accounting is applied lazily: when a wake or
 ///     re-arm lands it at cycle `h`, the scheduler first calls
-///     `skip(acct, h)` for the slept span and only then `tick(h)`. skip()
-///     must therefore be safe mid-run on *any* quiescent-between-events
-///     state, not only the globally-frozen states the dense fast-forward
-///     produces.
+///     `skip(acct, h)` for the slept span and only then `tick(h)` (and at
+///     the end of a run, or before a checkpoint, it catches every
+///     component up). skip() must therefore be safe mid-run on *any*
+///     quiescent-between-events state, while other components keep
+///     ticking.
 ///
 /// ## The serialization contract (checkpoint/restore)
 ///

@@ -23,10 +23,10 @@
 
 namespace dta::sim {
 
-/// Wake sink for the event-driven scheduler (sim/wheel.hpp): a `Port<T>`
-/// with a waker bound reports every push so the scheduler can re-arm the
-/// sleeping consumer.  The dense loop binds no wakers and pays one
-/// predictable branch per push.
+/// Wake sink for the scheduler (sim/wheel.hpp): a `Port<T>` with a waker
+/// bound reports every push so the scheduler can re-arm the sleeping
+/// consumer.  A port without one (unit tests) pays one predictable branch
+/// per push.
 class Waker {
  public:
     virtual ~Waker() = default;

@@ -38,9 +38,9 @@ namespace dta::sim {
 /// the rest describe the run loop itself and land on the loop row.
 enum class ProfPhase : std::uint8_t {
     kTick,             ///< inside a Component::tick call
-    kNextActivity,     ///< the idle-horizon scan across components
+    kNextActivity,     ///< the loop tail: no-progress check, next-due jump
     kQuiescence,       ///< the per-cycle quiescence sweep
-    kFastforwardScan,  ///< skip() bookkeeping over a fast-forwarded span
+    kFastforwardScan,  ///< skipped-span replay and the final skip() catch-up
     kAudit,            ///< invariant audit sweeps
     kSample,           ///< gauge sampling / metrics snapshots
     kWheelPop,         ///< the due-array pass, outside its visits

@@ -16,10 +16,10 @@
 ///    byte-identical with telemetry on or off
 ///    (tests/integration/telemetry_neutrality_test.cpp).
 ///  * **Deterministic.**  The simulated fields of a frame are sampled at
-///    aligned cycles in both run loops — post-tick of each sample cycle in
-///    the dense and wheel loops, replayed over fast-forwarded spans (state
-///    is frozen there by the horizon contract) — so the frame sequence is
-///    byte-identical with the wheel on or off.  Host-side fields
+///    aligned cycles — post-tick of each visited sample cycle, replayed
+///    over skipped spans (state is frozen there by the horizon contract)
+///    — so the frame sequence is byte-identical under the default
+///    scheduler and the per-cycle reference.  Host-side fields
 ///    (wall-clock rate, wheel occupancy) ride only the NDJSON stream, never
 ///    the JSON report, exactly like `RunResult::wheel`.
 ///

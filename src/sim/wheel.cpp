@@ -14,10 +14,8 @@ void WheelScheduler::attach(const std::vector<Component*>& components) {
 
 void WheelScheduler::start(Cycle now) {
     DTA_CHECK_MSG(!comps_.empty(), "wheel scheduler started unattached");
-    due_.assign(comps_.size(), now);
     acct_.assign(comps_.size(), now);
-    armed_ = comps_.size();
-    next_ = now;
+    arm_all(now);
     now_ = now;
     stats_.enabled = true;
     stats_.inserts += comps_.size();
@@ -25,13 +23,19 @@ void WheelScheduler::start(Cycle now) {
     started_ = true;
 }
 
+void WheelScheduler::arm_all(Cycle at) {
+    std::fill(due_.begin(), due_.end(), at);
+    armed_ = comps_.size();
+    next_ = at;
+}
+
 void WheelScheduler::wake(std::uint32_t component) {
     if (!started_) {
         return;  // pre-run launch() pushes; start() arms everyone anyway
     }
-    // Dense-order rule: while cycle now_ is in flight, a consumer with a
+    // List-order rule: while cycle now_ is in flight, a consumer with a
     // higher list index than the producer under the cursor has not been
-    // reached by the pass yet — the dense loop would have it observe the
+    // reached by the pass yet — a per-cycle loop would have it observe the
     // push at now_.  Anyone else sees it at now_ + 1.
     const Cycle at =
         (in_cycle_ && component > cursor_) ? now_ : now_ + 1;

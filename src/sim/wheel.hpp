@@ -1,15 +1,12 @@
 /// \file wheel.hpp
-/// \brief Event-driven scheduler core: a per-component due array that turns
-///        "tick every component every cycle" into "visit each component
-///        only when it can act".
+/// \brief The scheduler that drives every run: a per-component due array
+///        that turns "tick every component every cycle" into "visit each
+///        component only when it can act".
 ///
-/// The dense loop (kept alive behind `--no-wheel` / DTA_NO_WHEEL as the
-/// differential oracle) ticks all N components at every cycle and consults
-/// `next_activity()` only when the machine-wide fingerprint freezes.  The
-/// scheduler inverts that: after every tick a component is *re-armed* at
-/// its own declared horizon and sleeps until then, and inbound traffic
-/// re-arms sleepers through the wake contract (sim/component.hpp).  Results
-/// are fingerprint-exact by construction:
+/// After every tick a component is *re-armed* at its own declared horizon
+/// (`next_activity()`) and sleeps until then; inbound traffic re-arms
+/// sleepers through the wake contract (sim/component.hpp).  Results are
+/// fingerprint-exact by construction:
 ///
 ///  * Per-component accounting cursors.  `acct_[i]` is component i's next
 ///    unaccounted cycle.  When i is visited at cycle h after sleeping, the
@@ -18,16 +15,22 @@
 ///    span, so its state is frozen and skip() is bit-identical to ticking.
 ///  * One pass per active cycle.  `due_[i]` is component i's next visit
 ///    (kIdleForever = unarmed) and the whole schedule: there is no queue
-///    beside it.  run_cycle(at) walks the array once in ascending index,
-///    the dense loop's relative order, visiting each i with due_[i] == at
-///    and folding every other due_[i] into a running minimum.  next_due()
-///    is that minimum, so it is exact: the run loop never lands on a cycle
-///    at which nothing is due.
-///  * Dense-order wakes.  A push into a *later*-indexed component stores
-///    the current cycle and the same pass reaches it (the dense loop would
-///    tick it after the producer); a push into an earlier-indexed one
+///    beside it.  run_cycle(at) walks the array once in ascending index —
+///    the list order a per-cycle loop ticks in — visiting each i with
+///    due_[i] == at and folding every other due_[i] into a running minimum.
+///    next_due() is that minimum, so it is exact: the run loop never lands
+///    on a cycle at which nothing is due.
+///  * List-order wakes.  A push into a *later*-indexed component stores
+///    the current cycle and the same pass reaches it (a per-cycle loop
+///    would tick it after the producer); a push into an earlier-indexed one
 ///    stores the next cycle and lowers the kept minimum — exactly the
 ///    wrap-edge rule docs/ARCHITECTURE.md derives for the ring.
+///
+/// The per-cycle reference (MachineConfig::use_wheel = false) is a policy
+/// of the same scheduler, not a second loop: the machine calls arm_all(at
+/// + 1) after every pass, so every component is due every cycle, ticked in
+/// list order, and no horizon decides a visit.  The differential tests
+/// and dta_fuzz compare the two policies byte for byte.
 ///
 /// The pass costs O(components) per active cycle: about a dozen on the
 /// paper's shape, 45 on the largest tested one (4 nodes x 8 SPEs).
@@ -47,8 +50,8 @@ namespace dta::sim {
 /// Host-side counters of the scheduler's own behaviour.  Travels in
 /// RunResult::wheel and is *excluded* from the JSON run report and every
 /// byte-identity comparison, exactly like RunResult::host_profile: the
-/// simulated results are byte-identical with the scheduler on or off, and
-/// these counters describe the scheduler, not the machine.
+/// simulated results are byte-identical under either scheduling policy,
+/// and these counters describe the scheduler, not the machine.
 struct WheelStats {
     bool enabled = false;
     std::uint64_t pops = 0;     ///< component visits (ticks)
@@ -75,7 +78,7 @@ struct WheelStats {
     std::vector<Sample> samples;
 
     /// Average components visited per accounted cycle (the headline ratio:
-    /// dense ticking visits N on every cycle).
+    /// the per-cycle reference visits N on every cycle).
     [[nodiscard]] double pops_per_cycle(Cycle cycles) const {
         return cycles == 0 ? 0.0
                            : static_cast<double>(pops) /
@@ -88,17 +91,21 @@ struct WheelStats {
 class WheelScheduler final : public Waker {
 public:
     /// Binds the scheduler to \p components (the run loop's scheduler list,
-    /// in dense tick order).  Call once before start().
+    /// in tick order).  Call once before start().
     void attach(const std::vector<Component*>& components);
 
     /// Arms every component at cycle \p now and activates the wake hook.
     void start(Cycle now);
 
+    /// Arms every component at cycle \p at (between cycles).  Called after
+    /// every run_cycle, it is the per-cycle reference policy.
+    void arm_all(Cycle at);
+
     [[nodiscard]] bool started() const { return started_; }
 
     /// No component is armed at any finite cycle: every horizon came back
-    /// kIdleForever.  This is exactly the condition under which the dense
-    /// loop's horizon scan declares idle-forever deadlock.
+    /// kIdleForever.  On a non-quiescent machine this is a certain
+    /// (idle-forever) deadlock.
     [[nodiscard]] bool idle() const { return armed_ == 0; }
 
     /// Components currently armed at a finite cycle (the live-telemetry
@@ -124,7 +131,7 @@ public:
     void catch_up(Cycle to);
 
     /// Waker: inbound traffic landed in \p component's queue.  Joins the
-    /// current cycle when the dense order still permits it (producer index
+    /// current cycle when the list order still permits it (producer index
     /// below consumer index), else arms for the next cycle.
     void wake(std::uint32_t component) override;
 

@@ -81,8 +81,9 @@ std::string serialize_bench_file(const BenchFile& f) {
         os << "],\n     \"min_s\": " << dbl(c.min_s())
            << ", \"median_s\": " << dbl(c.median_s())
            << ", \"mad_s\": " << dbl(c.mad_s());
-        // Host-side wheel counters ride an optional "host" sub-object so
-        // dense-only sessions (and older readers) see the original shape.
+        // Host-side scheduler counters ride an optional "host" sub-object
+        // so files without them (and older readers) keep the original
+        // shape.
         if (c.wheel_pops > 0 || c.wheel_inserts > 0) {
             os << ",\n     \"host\": {\"wheel_pops\": " << c.wheel_pops
                << ", \"wheel_inserts\": " << c.wheel_inserts
@@ -184,8 +185,8 @@ bool parse_bench_file(std::string_view text, BenchFile& out,
             }
             c.host_seconds.push_back(s.as_number());
         }
-        // Optional host-side counters (absent in dense-only or older
-        // files; never gated on, so parse is lenient).
+        // Optional host-side counters (absent in older files; never
+        // gated on, so parse is lenient).
         if (const JsonValue* h = jc.find("host");
             h != nullptr && h->is_object()) {
             if (const JsonValue* v =

@@ -32,8 +32,8 @@ struct BenchCase {
     std::uint64_t cycles = 0;    ///< simulated cycles (identical per repeat)
     std::vector<double> host_seconds;  ///< one wall-clock sample per repeat
 
-    /// Host-side scheduler counters from one wheel-on run of the case
-    /// (all zero when every sample ran dense, or for pre-existing files).
+    /// Host-side scheduler counters from one run of the case (all zero
+    /// for files written before they existed).
     /// Trend data only — like RunResult::wheel these describe the
     /// simulator, not the machine, so the dta_benchdiff regression gate
     /// never reads them.

@@ -258,8 +258,8 @@ std::string run_report_json(const core::RunResult& r,
 
     // Host-side scheduler counters: opt-in (dta_run/dta_bench trend
     // tracking) and, like host_profile, never part of any byte-identity
-    // comparison — the wheel stats differ between wheel and dense runs of
-    // the same machine.
+    // comparison — the scheduler's counters differ between the default
+    // policy and the per-cycle reference on the same machine.
     if (include_host) {
         const sim::WheelStats& w = r.wheel;
         os << "  \"host\": {\"wheel\": {\"enabled\": "

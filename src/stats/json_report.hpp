@@ -27,10 +27,10 @@ namespace dta::stats {
 /// mix, fabric / memory / DMA / DSE totals, the per-thread-code profile,
 /// and — when the run collected them — the metrics registry.
 /// \p benchmark names the workload in the report header ("" omits it).
-/// \p include_host additionally emits the "host" section (timing-wheel
-/// scheduler counters).  Off by default because those counters describe the
+/// \p include_host additionally emits the "host" section (the scheduler's
+/// counters).  Off by default because those counters describe the
 /// host-side scheduler, not the machine: every byte-identity comparison
-/// (wheel-vs-dense differential, neutrality tests) uses the default.
+/// (the scheduler-policy differential, neutrality tests) uses the default.
 [[nodiscard]] std::string run_report_json(const core::RunResult& r,
                                           std::string_view benchmark = "",
                                           bool include_host = false);

@@ -277,7 +277,17 @@ TEST(Machine, DeadlockDetectedWhenFramesExhausted) {
         (void)m.run();
         FAIL() << "expected deadlock";
     } catch (const sim::SimError& e) {
-        EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("deadlock"), std::string::npos);
+        // The default scheduler names the cycle whose tick left every
+        // horizon idle, and the components still holding work (the
+        // source location follows the text).
+        const std::string want =
+            "simulation error: deadlock at cycle 71: every component is "
+            "idle forever yet the machine is not quiescent (stuck: dse0, "
+            "pe0; 1 FALLOCs parked at DSEs; the program's live-thread peak "
+            "likely exceeds the frame supply) (";
+        EXPECT_EQ(msg.substr(0, want.size()), want) << msg;
     }
 }
 
@@ -302,11 +312,10 @@ TEST(Machine, TelemetryWatchdogFlagsInjectedStall) {
     auto cfg = tiny_config(1);
     cfg.lse = sched::LseConfig::with(4, 512);
     cfg.no_progress_limit = 20'000;
-    // The horizon scan would flag this wedge as idle-forever on the very
-    // first quiet cycle; force the per-cycle loop so the stall persists
-    // long enough for the sampling watchdog to see it — the scenario the
-    // watchdog exists for (stalls the horizon fast-path cannot prove).
-    cfg.fast_forward = false;
+    // The default scheduler would flag this wedge as idle-forever on the
+    // cycle its horizons all go idle; use the per-cycle reference so the
+    // stall persists long enough for the sampling watchdog to see it — the
+    // scenario the watchdog exists for (stalls no horizon can prove).
     cfg.use_wheel = false;
     cfg.telemetry.enabled = true;
     cfg.telemetry.interval = 256;

@@ -1,10 +1,11 @@
-// The event-driven scheduler (the timing wheel) must be bit-identical to
-// the dense reference loop (--no-wheel): same cycle count, same spans,
-// same DMA spans, byte-identical JSON run reports, byte-identical
-// thread-lifecycle event logs, byte-identical critical-path reports and
-// byte-identical Chrome traces.  Each paper workload runs on a 4-node x
-// 2-SPE machine, so the inter-node ring links and routers are on the
-// path, in both the original and the prefetch-pass variants.
+// The default scheduler must be bit-identical to the per-cycle reference
+// policy (MachineConfig::use_wheel = false: every component ticked every
+// cycle in list order): same cycle count, same spans, same DMA spans,
+// byte-identical JSON run reports, byte-identical thread-lifecycle event
+// logs, byte-identical critical-path reports and byte-identical Chrome
+// traces.  Each paper workload runs on a 4-node x 2-SPE machine, so the
+// inter-node ring links and routers are on the path, and on a one-node
+// 4-SPE machine, in both the original and the prefetch-pass variants.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -88,16 +89,25 @@ void expect_identical(const Captured& ref, const Captured& got) {
     }
 }
 
-/// Runs both program variants on a 4-node x 2-SPE machine and requires the
-/// wheel to match the dense reference.
+/// Runs both program variants on a 4-node x 2-SPE and a 1-node x 4-SPE
+/// machine and requires the default scheduler to match the per-cycle
+/// reference.
 template <typename Workload>
 void check_wheel_matches_dense(const Workload& w, MachineConfig cfg) {
-    cfg.nodes = 4;
-    cfg.spes_per_node = 2;
-    for (const bool prefetch : {false, true}) {
-        SCOPED_TRACE(prefetch ? "prefetch" : "original");
-        expect_identical(run_with(w, cfg, prefetch, false),
-                         run_with(w, cfg, prefetch, true));
+    struct Shape {
+        std::uint16_t nodes;
+        std::uint16_t spes;
+    };
+    for (const Shape shape : {Shape{4, 2}, Shape{1, 4}}) {
+        SCOPED_TRACE(std::to_string(shape.nodes) + "x" +
+                     std::to_string(shape.spes));
+        cfg.nodes = shape.nodes;
+        cfg.spes_per_node = shape.spes;
+        for (const bool prefetch : {false, true}) {
+            SCOPED_TRACE(prefetch ? "prefetch" : "original");
+            expect_identical(run_with(w, cfg, prefetch, false),
+                             run_with(w, cfg, prefetch, true));
+        }
     }
 }
 
@@ -135,8 +145,8 @@ TEST(WheelDenseDeterminism, Zoom) {
 }
 
 /// Invariant audits are pure observers: with audits sweeping every cycle
-/// the run must stay byte-identical to the unaudited reference, under the
-/// wheel and under the dense loop.
+/// the run must stay byte-identical to the unaudited run, under the
+/// default scheduler and under the per-cycle reference.
 TEST(WheelDenseDeterminism, AuditsOnChangesNothing) {
     workloads::Fir::Params p;
     p.samples = 256;
@@ -153,6 +163,20 @@ TEST(WheelDenseDeterminism, AuditsOnChangesNothing) {
         SCOPED_TRACE(use_wheel ? "wheel" : "dense");
         expect_identical(plain, run_with(w, cfg, true, use_wheel));
     }
+}
+
+TEST(FastForward, SingleSpeBlockingRunSkipsMostCycles) {
+    // One SPE, blocking READs at 150-cycle latency: the machine is globally
+    // idle for most of every round trip, so under the default scheduler the
+    // overwhelming majority of cycles must be jumped, not landed on.
+    workloads::MatMul::Params p;
+    p.n = 8;
+    p.threads = 8;
+    const workloads::MatMul wl(p);
+    const MachineConfig cfg = workloads::MatMul::machine_config(1);
+    const workloads::RunOutcome out = workloads::run_workload(wl, cfg, false);
+    ASSERT_TRUE(out.correct) << out.detail;
+    EXPECT_GT(out.cycles_fast_forwarded, out.result.cycles / 2);
 }
 
 }  // namespace

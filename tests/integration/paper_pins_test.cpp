@@ -4,7 +4,10 @@
 // and the cycle total of every breakdown bucket exactly.  Every case runs
 // on the paper's shape (one node of 8 SPEs; the cycles match
 // bench/baseline/BENCH_baseline.json) and again on a 4-node x 2-SPE
-// machine, which exercises the inter-node ring links and routers.
+// machine, which exercises the inter-node ring links and routers.  The
+// LAT1 rows rerun the paper shape on Section 4.3's perfect-cache machine
+// (memory latency, bank busy and hop latency all 1), the runs with the
+// shortest horizons.
 //
 // A change to the simulator that moves any of these numbers changes the
 // paper's results; update a row only together with EXPERIMENTS.md.
@@ -32,6 +35,8 @@ struct Pin {
     /// Working, Idle, MemoryStalls, LSStalls, LSEStalls, Prefetching,
     /// PipelineStalls (core::CycleBucket order), summed over every SPE.
     Buckets buckets;
+    /// Section 4.3's perfect-cache machine (the "_lat1" rows).
+    bool perfect_cache = false;
 };
 
 const Pin kPins[] = {
@@ -59,6 +64,18 @@ const Pin kPins[] = {
      {249782, 12118265, 3354866, 24966, 178486, 0, 170531}},
     {"bitcnt_pf_4x2", Kernel::kBitcnt, true, 4, 2, 1041123,
      {249782, 6275563, 1343523, 94598, 186795, 8192, 170531}},
+    {"mmul_orig_1x8_lat1", Kernel::kMmul, false, 1, 8, 11050,
+     {25223, 2864, 30650, 16, 294, 0, 29353}, true},
+    {"mmul_pf_1x8_lat1", Kernel::kMmul, true, 1, 8, 8982,
+     {27271, 2063, 0, 10256, 429, 2484, 29353}, true},
+    {"zoom_orig_1x8_lat1", Kernel::kZoom, false, 1, 8, 3343,
+     {6183, 2462, 14786, 32, 296, 0, 2985}, true},
+    {"zoom_pf_1x8_lat1", Kernel::kZoom, true, 1, 8, 1658,
+     {6183, 2534, 0, 32, 362, 1168, 2985}, true},
+    {"bitcnt_orig_1x8_lat1", Kernel::kBitcnt, false, 1, 8, 94657,
+     {249782, 47931, 141285, 24966, 122761, 0, 170531}, true},
+    {"bitcnt_pf_1x8_lat1", Kernel::kBitcnt, true, 1, 8, 92059,
+     {249782, 23204, 57711, 94598, 131213, 9433, 170531}, true},
 };
 
 /// gtest names the failing parameter with this instead of a byte dump.
@@ -68,8 +85,8 @@ class PaperPins : public ::testing::TestWithParam<Pin> {};
 
 TEST_P(PaperPins, ExactCyclesAndBreakdown) {
     const Pin& pin = GetParam();
-    const RunOutcome out =
-        run_ci_case(pin.kernel, pin.prefetch, pin.nodes, pin.spes_per_node);
+    const RunOutcome out = run_ci_case(pin.kernel, pin.prefetch, pin.nodes,
+                                       pin.spes_per_node, pin.perfect_cache);
     ASSERT_TRUE(out.correct) << out.detail;
     EXPECT_EQ(out.result.cycles, pin.cycles);
     EXPECT_EQ(out.result.total_breakdown().cycles, pin.buckets);

@@ -270,11 +270,10 @@ TEST(SnapshotDeterminism, MismatchedConfigOrProgramRejected) {
         EXPECT_THROW(m.restore(path), sim::SimError);
     }
     {
-        // Observer knobs are excluded from the fingerprint: replaying with
-        // the other scheduler and extra logging must be accepted.
+        // Observer knobs are excluded from the fingerprint: replaying under
+        // the per-cycle reference policy must be accepted.
         MachineConfig replay = cfg;
         replay.use_wheel = false;
-        replay.fast_forward = false;
         Machine m(replay, w.program());
         m.restore(path);
         RunResult res = m.run();

@@ -14,7 +14,8 @@
 // must be byte-identical.  A too-late horizon delays or drops an output and
 // the logs diverge; a too-early horizon only costs extra visits, which the
 // contract permits.  This is the per-component analogue of the whole-machine
-// wheel/dense differentials in shard_determinism_test and tools/dta_fuzz.
+// differentials against the per-cycle reference in
+// wheel_dense_determinism_test and tools/dta_fuzz.
 #include <gtest/gtest.h>
 
 #include <algorithm>

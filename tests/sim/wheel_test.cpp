@@ -223,6 +223,30 @@ TEST(WheelScheduler, IdleOnceEveryHorizonIsIdleForever) {
     EXPECT_EQ(r.sched.next_due(), 5u);
 }
 
+TEST(WheelScheduler, ArmAllAfterEachPassTicksEveryComponentEveryCycle) {
+    // The per-cycle reference policy: whatever the horizons say (c0 far
+    // out, c1 asleep, c2 next cycle), re-arming everyone at now + 1 after
+    // each pass visits all three every cycle in index order, with no skip.
+    Rig r(3);
+    r[0].then({50, 50, 50});
+    r[1].then({kIdleForever, kIdleForever, kIdleForever});
+    r[2].then({1, 1, 1});
+    r.sched.start(0);
+    std::uint64_t t = 0;
+    for (Cycle now = 0; now < 3; ++now) {
+        r.sched.run_cycle(now, nullptr, t);
+        r.sched.arm_all(now + 1);
+        EXPECT_EQ(r.sched.next_due(), now + 1);
+        EXPECT_FALSE(r.sched.idle());
+    }
+    for (Cycle c = 0; c < 3; ++c) {
+        EXPECT_EQ(r.at(c), (Ids{0, 1, 2})) << "cycle " << c;
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_TRUE(r[i].skips.empty()) << "c" << i;
+    }
+}
+
 TEST(WheelScheduler, CatchUpAppliesExactSkipSpans) {
     // c0 ticks every cycle; c1 sleeps from cycle 1 to 10, then forever.
     Rig r(2);

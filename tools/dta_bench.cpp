@@ -9,7 +9,7 @@
 /// Usage:
 ///   dta_bench [--label L] [--out FILE] [--warmup N] [--repeats N]
 ///             [--filter SUBSTR] [--scale paper|ci]
-///             [--scale-time X] [--no-wheel] [--ab-wheel] [--list]
+///             [--scale-time X] [--list]
 ///             [--serve SOCKET]
 ///
 /// `--serve SOCKET` runs the sweep against a dta_serve daemon instead of
@@ -18,7 +18,7 @@
 /// hit, docs/SERVING.md).  Against a warm cache the same sweep completes
 /// orders of magnitude faster, byte-identical.  Warmup runs are skipped
 /// (they would pre-populate the cache and hide the cold/warm contrast);
-/// the A/B and rescale modes conflict with --serve.
+/// the interleave and rescale modes conflict with --serve.
 ///
 /// Determinism is enforced, not assumed: every repeat of a case must
 /// produce the same simulated cycle count, or the driver exits non-zero.
@@ -33,12 +33,6 @@
 ///     files (A, B, A, B, ...), so slow host-speed drift hits both files
 ///     equally and a same-binary comparison stays clean even on a host
 ///     whose clock rate wanders between invocations.
-///
-/// `--ab-wheel` (with --split-out) turns the interleave into an
-/// event-driven-scheduler A/B: the A samples run with the wheel on, the B
-/// samples with the dense loop (`--no-wheel`), same binary, same host
-/// window.  The per-case determinism check then doubles as a wheel/dense
-/// cycle-count differential.  `--no-wheel` alone runs everything dense.
 
 #include <chrono>
 #include <cstdio>
@@ -77,8 +71,6 @@ struct Options {
     std::string filter;
     std::string scale = "ci";  // "ci" (reduced, fast) or "paper"
     double scale_time = 1.0;
-    bool no_wheel = false;  // dense run loop for every sample
-    bool ab_wheel = false;  // --split-out B samples run dense
     bool list = false;
     std::string serve_socket;  // run the sweep via a dta_serve daemon
 };
@@ -101,31 +93,24 @@ void usage(const char* argv0) {
         "                   --scale-time and write the result to --out\n"
         "  --split-out F2   run 2x repeats, interleaving samples between\n"
         "                   --out and F2 (drift-robust A/B comparison)\n"
-        "  --no-wheel       dense run loop instead of the event-driven\n"
-        "                   scheduler (cycle counts are identical)\n"
-        "  --ab-wheel       with --split-out: A samples run the wheel, B\n"
-        "                   samples run dense (wheel-on/off A/B)\n"
         "  --serve SOCKET   submit cases to a dta_serve daemon at SOCKET\n"
         "                   instead of simulating in-process\n"
         "  --list           print case names and exit\n",
         argv0);
 }
 
-/// One registry entry: a name plus a closure running the workload once
-/// (the argument selects the event-driven scheduler or the dense loop).
+/// One registry entry: a name plus a closure running the workload once.
 struct Case {
     std::string name;
-    std::function<workloads::RunOutcome(bool)> run;
+    std::function<workloads::RunOutcome()> run;
 };
 
 template <typename W>
 Case make_case(std::string name, typename W::Params p,
                core::MachineConfig cfg, bool prefetch) {
-    return Case{std::move(name), [p, cfg, prefetch](bool use_wheel) {
-                    core::MachineConfig c = cfg;
-                    c.use_wheel = use_wheel;
+    return Case{std::move(name), [p, cfg, prefetch] {
                     const W wl(p);
-                    return workloads::run_workload(wl, c, prefetch);
+                    return workloads::run_workload(wl, cfg, prefetch);
                 }};
 }
 
@@ -254,10 +239,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
             const char* v = next("--split-out");
             if (v == nullptr) return false;
             opt.split_out = v;
-        } else if (a == "--no-wheel") {
-            opt.no_wheel = true;
-        } else if (a == "--ab-wheel") {
-            opt.ab_wheel = true;
         } else if (a == "--serve") {
             const char* v = next("--serve");
             if (v == nullptr) return false;
@@ -278,21 +259,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
         std::fprintf(stderr, "%s: --repeats must be >= 1\n", argv[0]);
         return false;
     }
-    if (opt.ab_wheel && opt.split_out.empty()) {
-        std::fprintf(stderr, "%s: --ab-wheel needs --split-out\n", argv[0]);
-        return false;
-    }
-    if (opt.ab_wheel && opt.no_wheel) {
-        std::fprintf(stderr, "%s: --ab-wheel conflicts with --no-wheel\n",
-                     argv[0]);
-        return false;
-    }
     if (!opt.serve_socket.empty() &&
-        (opt.ab_wheel || opt.no_wheel || !opt.split_out.empty() ||
-         !opt.from.empty() || opt.scale_time != 1.0)) {
+        (!opt.split_out.empty() || !opt.from.empty() ||
+         opt.scale_time != 1.0)) {
         std::fprintf(stderr,
-                     "%s: --serve conflicts with --ab-wheel, --no-wheel, "
-                     "--split-out, --from and --scale-time\n",
+                     "%s: --serve conflicts with --split-out, --from and "
+                     "--scale-time\n",
                      argv[0]);
         return false;
     }
@@ -489,7 +461,7 @@ int main(int argc, char** argv) {
     // --split-out: a second file whose samples interleave with the first's.
     const bool split = !opt.split_out.empty();
     stats::BenchFile file_b = file;
-    file_b.label = opt.label + (opt.ab_wheel ? "-nowheel" : "-b");
+    file_b.label = opt.label + "-b";
 
     for (const Case& c : registry) {
         if (!opt.filter.empty() &&
@@ -500,20 +472,11 @@ int main(int argc, char** argv) {
         bc.name = c.name;
         stats::BenchCase bc_b = bc;
         for (std::uint32_t w = 0; w < opt.warmup; ++w) {
-            const workloads::RunOutcome out = c.run(!opt.no_wheel);
-            bc.cycles = out.result.cycles;
-            if (opt.ab_wheel) {
-                (void)c.run(false);  // warm the dense path too
-            }
+            bc.cycles = c.run().result.cycles;
         }
         const std::uint32_t timed = opt.repeats * (split ? 2 : 1);
         for (std::uint32_t r = 0; r < timed; ++r) {
-            // --ab-wheel: odd (B-file) samples run the dense loop.  The
-            // determinism check below then also asserts the wheel and the
-            // dense loop agree on the simulated cycle count.
-            const bool wheel_on =
-                !opt.no_wheel && !(opt.ab_wheel && (r % 2) == 1);
-            const workloads::RunOutcome out = c.run(wheel_on);
+            const workloads::RunOutcome out = c.run();
             if (!out.correct) {
                 std::fprintf(stderr,
                              "%s: %s produced an incorrect result: %s\n",
@@ -531,13 +494,11 @@ int main(int argc, char** argv) {
             }
             bc.cycles = out.result.cycles;
             bc_b.cycles = out.result.cycles;
-            if (wheel_on && out.result.wheel.enabled) {
-                // Scheduler trend counters (deterministic per case, so any
-                // wheel-on repeat's values are the values).
-                bc.wheel_pops = out.result.wheel.pops;
-                bc.wheel_inserts = out.result.wheel.inserts;
-                bc.wheel_dense_cycles = out.result.wheel.dense_cycles;
-            }
+            // Scheduler trend counters (deterministic per case, so any
+            // repeat's values are the values).
+            bc.wheel_pops = out.result.wheel.pops;
+            bc.wheel_inserts = out.result.wheel.inserts;
+            bc.wheel_dense_cycles = out.result.wheel.dense_cycles;
             const double s = out.host_seconds * opt.scale_time;
             if (split && (r % 2) == 1) {
                 bc_b.host_seconds.push_back(s);

@@ -3,13 +3,13 @@
 ///        with random-dataflow programs (workloads/dataflow_gen.hpp), run
 ///        with invariant audits on and checked word-for-word against the
 ///        functional Interpreter oracle and the generator's host-side
-///        replica — and, per run, the event-driven scheduler's run report
-///        is byte-compared against the dense loop's (the wheel/dense
-///        differential).  A quarter of the corpus additionally runs with
-///        live telemetry and the stall watchdog armed; a passing run that
-///        trips the watchdog is reported as a failure (no spurious stall
-///        diagnostics), and the report comparison then covers the telemetry
-///        timeline too.
+///        replica — and, per run, the default scheduler's run report is
+///        byte-compared against the per-cycle reference's (every
+///        component ticked every cycle).  A quarter of the corpus
+///        additionally runs with live telemetry and the stall watchdog
+///        armed; a passing run that trips the watchdog is reported as a
+///        failure (no spurious stall diagnostics), and the report
+///        comparison then covers the telemetry timeline too.
 ///
 /// Usage:
 ///   dta_fuzz [options]
@@ -19,11 +19,10 @@
 ///     --list-shapes     print the shape table and exit
 ///     --seed S          run one seed only (replay mode; use with --config)
 ///     --config STR      explicit "key=value,..." machine config (replay
-///                       mode; keys as printed by a failure's replay line)
+///                       mode; keys as printed by a failure's replay line;
+///                       an unknown key or a bad value exits 2)
 ///     --inject-failure  register an always-failing audit check (validates
 ///                       the failure-reporting and replay path end to end)
-///     --no-wheel        run the dense loop only (also disables the
-///                       wheel/dense differential)
 ///     --no-shrink       report the first failure without minimising it
 ///     --bisect          (replay mode) time-travel bisect: re-run the
 ///                       failing cell with periodic snapshots, then refine
@@ -94,53 +93,67 @@ std::string encode(const FuzzConfig& c) {
            ",joinpct=" + std::to_string(c.join_percent);
 }
 
-bool decode(const std::string& s, FuzzConfig& c) {
+/// Parses a --config string ("key=value,..." with the keys encode()
+/// prints).  Each value is range-checked against what the machine or the
+/// generator accepts; a pair without '=', an unknown key or a bad value
+/// prints one line and exits 2.
+FuzzConfig decode(const char* argv0, const std::string& s) {
+    FuzzConfig c;
     std::size_t pos = 0;
     while (pos < s.size()) {
-        const std::size_t eq = s.find('=', pos);
-        if (eq == std::string::npos) {
-            return false;
-        }
-        std::size_t end = s.find(',', eq);
+        std::size_t end = s.find(',', pos);
         if (end == std::string::npos) {
             end = s.size();
         }
-        const std::string key = s.substr(pos, eq - pos);
-        const auto val =
-            static_cast<std::uint32_t>(std::strtoul(s.c_str() + eq + 1,
-                                                    nullptr, 0));
-        if (key == "nodes") {
-            c.nodes = static_cast<std::uint16_t>(val);
-        } else if (key == "spes") {
-            c.spes = static_cast<std::uint16_t>(val);
-        } else if (key == "frames") {
-            c.frames = val;
-        } else if (key == "staging") {
-            c.staging = val;
-        } else if (key == "vfp") {
-            c.vfp = val != 0;
-        } else if (key == "prefetch") {
-            c.prefetch = val != 0;
-        } else if (key == "mem") {
-            c.mem_latency = val;
-        } else if (key == "inject") {
-            c.inject_depth = val;
-        } else if (key == "mfcq") {
-            c.mfc_queue = val;
-        } else if (key == "link") {
-            c.link_latency = val;
-        } else if (key == "maxthreads") {
-            c.max_threads = val;
-        } else if (key == "fanout") {
-            c.max_fanout = val;
-        } else if (key == "joinpct") {
-            c.join_percent = val;
-        } else {
-            return false;
+        const std::string pair = s.substr(pos, end - pos);
+        pos = end + 1;
+        const std::size_t eq = pair.find('=');
+        if (eq == std::string::npos) {
+            std::fprintf(stderr, "%s: --config entry '%s' is not key=value\n",
+                         argv0, pair.c_str());
+            std::exit(2);
         }
-        pos = end + (end < s.size() ? 1 : 0);
+        const std::string key = pair.substr(0, eq);
+        const std::string val = pair.substr(eq + 1);
+        const std::string flag = "--config " + key;
+        const auto num = [&](std::uint64_t lo, std::uint64_t hi) {
+            return cli::parse_u64(argv0, flag.c_str(), val.c_str(), lo, hi);
+        };
+        constexpr std::uint64_t kU16 = 0xffff;
+        constexpr std::uint64_t kU32 = 0xffffffff;
+        if (key == "nodes") {
+            c.nodes = static_cast<std::uint16_t>(num(1, kU16));
+        } else if (key == "spes") {
+            c.spes = static_cast<std::uint16_t>(num(1, kU16));
+        } else if (key == "frames") {
+            c.frames = static_cast<std::uint32_t>(num(1, kU32));
+        } else if (key == "staging") {
+            c.staging = static_cast<std::uint32_t>(num(0, kU32));
+        } else if (key == "vfp") {
+            c.vfp = num(0, 1) != 0;
+        } else if (key == "prefetch") {
+            c.prefetch = num(0, 1) != 0;
+        } else if (key == "mem") {
+            c.mem_latency = static_cast<std::uint32_t>(num(0, kU32));
+        } else if (key == "inject") {
+            c.inject_depth = static_cast<std::uint32_t>(num(1, kU32));
+        } else if (key == "mfcq") {
+            c.mfc_queue = static_cast<std::uint32_t>(num(1, kU32));
+        } else if (key == "link") {
+            c.link_latency = static_cast<std::uint32_t>(num(0, kU32));
+        } else if (key == "maxthreads") {
+            c.max_threads = static_cast<std::uint32_t>(num(1, kU32));
+        } else if (key == "fanout") {
+            c.max_fanout = static_cast<std::uint32_t>(num(1, kU32));
+        } else if (key == "joinpct") {
+            c.join_percent = static_cast<std::uint32_t>(num(0, 100));
+        } else {
+            std::fprintf(stderr, "%s: unknown --config key '%s'\n", argv0,
+                         key.c_str());
+            std::exit(2);
+        }
     }
-    return true;
+    return c;
 }
 
 /// The predefined configuration shapes the default sweep covers: small and
@@ -212,9 +225,9 @@ core::MachineConfig machine_config(const FuzzConfig& c) {
     cfg.mfc.queue_depth = c.mfc_queue;
     cfg.link.latency = c.link_latency;
     cfg.audit.enabled = true;
-    // Gauges on: the dense-vs-wheel differential byte-compares the full run
-    // report, and sampled gauges exercise the wheel's sample-replay path
-    // over skipped spans.
+    // Gauges on: the reference differential byte-compares the full run
+    // report, and sampled gauges exercise the run loop's replay of skipped
+    // spans.
     cfg.collect_metrics = true;
     cfg.max_cycles = 50'000'000;
     cfg.no_progress_limit = 500'000;
@@ -244,14 +257,13 @@ struct SnapshotKnobs {
 };
 
 /// Runs one (config, seed) point: generator -> Interpreter oracle ->
-/// audited Machine (event-driven scheduler) -> dense-loop differential ->
-/// word-for-word memory comparison.  Returns true when everything agreed;
-/// otherwise fills \p why.  With \p snap, the machine leg restores and/or
-/// checkpoints (the dense differential is skipped — the bisect loop studies
-/// the one failing leg).
+/// audited Machine (default scheduler) -> per-cycle reference differential
+/// -> word-for-word memory comparison.  Returns true when everything
+/// agreed; otherwise fills \p why.  With \p snap, the machine leg restores
+/// and/or checkpoints (the reference differential is skipped — the bisect
+/// loop studies the one failing leg).
 bool run_one(const FuzzConfig& c, std::uint64_t seed, bool inject_failure,
-             bool no_wheel, std::string& why,
-             SnapshotKnobs* snap = nullptr) {
+             std::string& why, SnapshotKnobs* snap = nullptr) {
     try {
         const workloads::DataflowGen gen(gen_params(c, seed));
         const std::vector<std::uint64_t> args = gen.entry_args();
@@ -270,13 +282,12 @@ bool run_one(const FuzzConfig& c, std::uint64_t seed, bool inject_failure,
         const isa::Program prog =
             c.prefetch ? gen.prefetch_program(c.staging) : gen.program();
         auto cfg = machine_config(c);
-        cfg.use_wheel = !no_wheel;
         // A quarter of the corpus also runs with live telemetry and the
         // stall watchdog armed, at a cadence tight enough that short fuzz
         // programs still capture frames.  Passing runs must never trip the
-        // watchdog (checked below), and the wheel/dense report comparison
-        // then also byte-compares the telemetry timeline across run-loop
-        // modes.
+        // watchdog (checked below), and the reference report comparison
+        // then also byte-compares the telemetry timeline across the two
+        // scheduling policies.
         const bool telem = seed % 4 == 0;
         if (telem) {
             cfg.telemetry.enabled = true;
@@ -337,39 +348,31 @@ bool run_one(const FuzzConfig& c, std::uint64_t seed, bool inject_failure,
             }
         }
 
-        // Dense-vs-wheel differential: the same program on the dense loop
-        // (--no-wheel oracle) must produce a byte-identical run report and
-        // identical output memory.  Skipped when the wheel is off anyway
-        // (--no-wheel here, or DTA_NO_WHEEL in the environment — both runs
-        // would be the same dense loop).
-        if (snap == nullptr && !no_wheel &&
-            std::getenv("DTA_NO_WHEEL") == nullptr) {
-            auto dense_cfg = machine_config(c);
-            dense_cfg.use_wheel = false;
-            if (telem) {
-                dense_cfg.telemetry.enabled = true;
-                dense_cfg.telemetry.interval = 1024;
-            }
-            core::Machine dense(dense_cfg, prog);
-            gen.init_memory(dense.memory());
-            dense.launch(args);
-            const core::RunResult dres = dense.run();
+        // Per-cycle reference differential: the same program with every
+        // component ticked every cycle (use_wheel = false) must produce a
+        // byte-identical run report and identical output memory.
+        if (snap == nullptr) {
+            core::MachineConfig ref_cfg = cfg;
+            ref_cfg.use_wheel = false;
+            core::Machine ref(ref_cfg, prog);
+            gen.init_memory(ref.memory());
+            ref.launch(args);
+            const core::RunResult rres = ref.run();
             const std::string a = stats::run_report_json(res, prog.name);
-            const std::string b = stats::run_report_json(dres, prog.name);
+            const std::string b = stats::run_report_json(rres, prog.name);
             if (a != b) {
-                why = "wheel run report diverged from the dense (--no-wheel) "
-                      "loop's";
+                why = "run report diverged from the per-cycle reference's";
                 return false;
             }
             for (std::uint32_t id = 0; id < gen.thread_count(); ++id) {
                 const auto addr = gen.params().out_base + 4ull * id;
-                const std::uint32_t wv = machine.memory().read_u32(addr);
-                const std::uint32_t dv = dense.memory().read_u32(addr);
-                if (wv != dv) {
-                    why = "wheel/dense memory mismatch at thread " +
-                          std::to_string(id) + ": wheel " +
-                          std::to_string(wv) + ", dense " +
-                          std::to_string(dv);
+                const std::uint32_t mv = machine.memory().read_u32(addr);
+                const std::uint32_t rv = ref.memory().read_u32(addr);
+                if (mv != rv) {
+                    why = "memory mismatch against the per-cycle reference "
+                          "at thread " +
+                          std::to_string(id) + ": " + std::to_string(mv) +
+                          ", reference " + std::to_string(rv);
                     return false;
                 }
             }
@@ -386,14 +389,13 @@ bool run_one(const FuzzConfig& c, std::uint64_t seed, bool inject_failure,
 
 /// Greedy minimisation: shrink the program, then simplify the machine one
 /// axis at a time, keeping each step only while the failure reproduces.
-FuzzConfig shrink(FuzzConfig c, std::uint64_t seed, bool no_wheel,
-                  std::string& why) {
+FuzzConfig shrink(FuzzConfig c, std::uint64_t seed, std::string& why) {
     std::string w;
     // 1. Program size: halve the thread budget while it still fails.
     while (c.max_threads > 2) {
         FuzzConfig t = c;
         t.max_threads = c.max_threads / 2;
-        if (!run_one(t, seed, false, no_wheel, w)) {
+        if (!run_one(t, seed, false, w)) {
             c = t;
             why = w;
         } else {
@@ -402,7 +404,7 @@ FuzzConfig shrink(FuzzConfig c, std::uint64_t seed, bool no_wheel,
     }
     // 2. Machine axes, most-simplifying first.
     const auto try_keep = [&](FuzzConfig t) {
-        if (!run_one(t, seed, false, no_wheel, w)) {
+        if (!run_one(t, seed, false, w)) {
             c = t;
             why = w;
         }
@@ -456,14 +458,14 @@ void report_failure(const FuzzConfig& c, std::uint64_t seed,
 /// the newest pre-failure snapshot and quarters the interval, homing in on
 /// a snapshot a few Kcycles before the failure.  Prints one copy-pasteable
 /// --restore command.  Returns the process exit status.
-int bisect(const FuzzConfig& c, std::uint64_t seed, bool no_wheel) {
+int bisect(const FuzzConfig& c, std::uint64_t seed) {
     const std::string prefix = "dta_fuzz_s" + std::to_string(seed);
     sim::Cycle interval = 65536;
     SnapshotKnobs snap;
     snap.checkpoint_every = interval;
     snap.checkpoint_prefix = prefix;
     std::string why;
-    if (run_one(c, seed, false, no_wheel, why, &snap)) {
+    if (run_one(c, seed, false, why, &snap)) {
         std::printf("bisect: seed %llu passes on \"%s\"; nothing to bisect\n",
                     static_cast<unsigned long long>(seed), encode(c).c_str());
         return 0;
@@ -477,7 +479,7 @@ int bisect(const FuzzConfig& c, std::uint64_t seed, bool no_wheel) {
         finer.checkpoint_every = interval;
         finer.checkpoint_prefix = prefix;
         std::string w;
-        if (run_one(c, seed, false, no_wheel, w, &finer)) {
+        if (run_one(c, seed, false, w, &finer)) {
             // The failure did not reproduce from the restore — it depends
             // on earlier history; keep the coarser snapshot.
             break;
@@ -510,8 +512,8 @@ int bisect(const FuzzConfig& c, std::uint64_t seed, bool no_wheel) {
     std::fprintf(stderr,
                  "usage: %s [--seeds N] [--start-seed S] [--shapes a,b|all]\n"
                  "       [--seed S] [--config \"k=v,...\"] [--inject-failure]\n"
-                 "       [--no-wheel] [--no-shrink] [--bisect] "
-                 "[--restore FILE] [--list-shapes] [-v]\n",
+                 "       [--no-shrink] [--bisect] [--restore FILE] "
+                 "[--list-shapes] [-v]\n",
                  argv0);
     std::exit(2);
 }
@@ -523,7 +525,6 @@ struct Options {
     std::optional<std::uint64_t> one_seed;
     std::optional<FuzzConfig> config;
     bool inject_failure = false;
-    bool no_wheel = false;
     bool no_shrink = false;
     bool bisect = false;
     std::string restore_path;
@@ -567,16 +568,9 @@ Options parse_options(int argc, char** argv) {
         } else if (a == "--seed") {
             opt.one_seed = cli::parse_u64(argv[0], "--seed", next());
         } else if (a == "--config") {
-            FuzzConfig c;
-            if (!decode(next(), c)) {
-                std::fprintf(stderr, "bad --config string\n");
-                usage(argv[0]);
-            }
-            opt.config = c;
+            opt.config = decode(argv[0], next());
         } else if (a == "--inject-failure") {
             opt.inject_failure = true;
-        } else if (a == "--no-wheel") {
-            opt.no_wheel = true;
         } else if (a == "--no-shrink") {
             opt.no_shrink = true;
         } else if (a == "--bisect") {
@@ -618,14 +612,13 @@ int main(int argc, char** argv) {
         }
         const FuzzConfig c = opt.config.value_or(shapes[0]);
         if (opt.bisect) {
-            return bisect(c, *opt.one_seed, opt.no_wheel);
+            return bisect(c, *opt.one_seed);
         }
         std::string why;
         if (!opt.restore_path.empty()) {
             SnapshotKnobs snap;
             snap.restore = opt.restore_path;
-            if (run_one(c, *opt.one_seed, opt.inject_failure, opt.no_wheel,
-                        why, &snap)) {
+            if (run_one(c, *opt.one_seed, opt.inject_failure, why, &snap)) {
                 std::printf("seed %llu ok on \"%s\" (restored from %s)\n",
                             static_cast<unsigned long long>(*opt.one_seed),
                             encode(c).c_str(), opt.restore_path.c_str());
@@ -634,8 +627,7 @@ int main(int argc, char** argv) {
             report_failure(c, *opt.one_seed, why, opt.inject_failure);
             return 1;
         }
-        if (run_one(c, *opt.one_seed, opt.inject_failure, opt.no_wheel,
-                    why)) {
+        if (run_one(c, *opt.one_seed, opt.inject_failure, why)) {
             std::printf("seed %llu ok on \"%s\"\n",
                         static_cast<unsigned long long>(*opt.one_seed),
                         encode(c).c_str());
@@ -665,10 +657,10 @@ int main(int argc, char** argv) {
         for (std::uint32_t k = 0; k < opt.seeds; ++k) {
             const std::uint64_t seed = opt.start_seed + k;
             std::string why;
-            if (!run_one(c, seed, opt.inject_failure, opt.no_wheel, why)) {
+            if (!run_one(c, seed, opt.inject_failure, why)) {
                 FuzzConfig repro = c;
                 if (!opt.no_shrink && !opt.inject_failure) {
-                    repro = shrink(repro, seed, opt.no_wheel, why);
+                    repro = shrink(repro, seed, why);
                 }
                 report_failure(repro, seed, why, opt.inject_failure);
                 return 1;

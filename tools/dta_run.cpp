@@ -13,11 +13,6 @@
 ///     --staging N       DMA staging bytes per frame (default 8192)
 ///     --vfp             enable virtual frame pointers
 ///     --perfect-cache   Section 4.3 variant: 1-cycle memory system
-///     --no-fastforward  tick every cycle (results are identical; slower)
-///     --no-wheel        dense run loop instead of the event-driven
-///                       scheduler (results are byte-identical; the flag —
-///                       or DTA_NO_WHEEL in the environment — exists as the
-///                       differential oracle; see docs/ARCHITECTURE.md)
 ///     --audit[=N]       machine-wide invariant audits every N cycles
 ///                       (default cadence: every cycle in debug builds,
 ///                       every 64th in release; see docs/CORRECTNESS.md)
@@ -65,7 +60,7 @@
 ///     --restore FILE    resume from a snapshot instead of launching; the
 ///                       machine shape flags must match the snapshot's
 ///                       config fingerprint, observer flags (--audit,
-///                       --no-wheel, --prof, ...) are free — time-travel
+///                       --prof, --log-level, ...) are free — time-travel
 ///                       debugging
 ///     --stop-at M       end the run at exactly cycle M with the machine
 ///                       state as of that cut (partial statistics; no
@@ -108,8 +103,6 @@ struct Options {
     std::uint32_t staging = 8192;
     bool vfp = false;
     bool perfect_cache = false;
-    bool no_fastforward = false;
-    bool no_wheel = false;
     bool audit = false;
     sim::Cycle audit_interval = 0;  ///< 0 = auto cadence
     bool interp = false;
@@ -139,8 +132,7 @@ struct Options {
                  "usage: %s <program.dta> [--spes N] [--nodes N] "
                  "[--mem-latency N]\n"
                  "       [--frames N] [--staging N] [--vfp] "
-                 "[--perfect-cache] [--no-fastforward] [--no-wheel] "
-                 "[--audit[=N]]\n"
+                 "[--perfect-cache] [--audit[=N]]\n"
                  "       [--arg V]... [--max-cycles N] [--interp]\n"
                  "       [--profile] [--prof] [--breakdown] [--trace FILE] "
                  "[--metrics FILE]\n"
@@ -189,10 +181,6 @@ Options parse_options(int argc, char** argv) {
             opt.vfp = true;
         } else if (a == "--perfect-cache") {
             opt.perfect_cache = true;
-        } else if (a == "--no-fastforward") {
-            opt.no_fastforward = true;
-        } else if (a == "--no-wheel") {
-            opt.no_wheel = true;
         } else if (a == "--audit") {
             opt.audit = true;
         } else if (a.rfind("--audit=", 0) == 0) {
@@ -351,8 +339,6 @@ int main(int argc, char** argv) {
         cfg.collect_metrics =
             !opt.metrics_path.empty() || !opt.trace_path.empty();
         cfg.collect_events = !opt.events_path.empty();
-        cfg.fast_forward = !opt.no_fastforward;
-        cfg.use_wheel = !opt.no_wheel;
         cfg.audit.enabled = opt.audit;
         cfg.audit.interval = opt.audit_interval;
         cfg.profile = opt.prof;
