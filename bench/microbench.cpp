@@ -175,14 +175,12 @@ class StrideComponent final : public sim::Component {
 public:
     StrideComponent(std::string name, sim::Cycle stride)
         : sim::Component(std::move(name)), stride_(stride) {}
-    void tick(sim::Cycle now) override {
+    sim::Cycle tick(sim::Cycle now) override {
         ++ticks_;
         last_ = now;
-    }
-    [[nodiscard]] bool quiescent() const override { return false; }
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
         return now + stride_;
     }
+    [[nodiscard]] bool quiescent() const override { return false; }
 
 private:
     sim::Cycle stride_;
@@ -192,7 +190,7 @@ private:
 
 void BM_WheelSchedulerPopRearm(benchmark::State& state) {
     // 1e6 component visits through the real scheduler: the due-array pass,
-    // lazy skip of the slept span, tick, next_activity() re-arm.  Strides
+    // lazy skip of the slept span, tick, re-arm at its horizon.  Strides
     // are spread over 1..13 cycles so only a fraction of the components is
     // due per cycle (the partially-idle regime the scheduler exists for).
     // The argument is the component count: 12 is the paper's 1x8 machine,
@@ -239,7 +237,7 @@ public:
           rng_(0x9e3779b97f4a7c15ull * (id + 1)),
           sched_(sched),
           sleepers_(sleepers) {}
-    void tick(sim::Cycle now) override {
+    sim::Cycle tick(sim::Cycle now) override {
         if (!sleepers_->empty()) {
             const std::uint32_t s = sleepers_->back();
             sleepers_->pop_back();
@@ -249,30 +247,27 @@ public:
         const std::uint64_t pct = (rng_ >> 33) % 100;
         const std::uint64_t x = rng_ >> 17;
         if (pct < 73) {
-            next_ = now + 1;
-        } else if (pct < 79) {
-            next_ = now + 2;
-        } else if (pct < 92) {
-            next_ = now + 3 + x % 6;
-        } else if (pct < 99) {
-            next_ = now + 9 + x % 248;
-        } else {
-            next_ = sim::kIdleForever;
-            sleepers_->push_back(id_);
+            return now + 1;
         }
+        if (pct < 79) {
+            return now + 2;
+        }
+        if (pct < 92) {
+            return now + 3 + x % 6;
+        }
+        if (pct < 99) {
+            return now + 9 + x % 248;
+        }
+        sleepers_->push_back(id_);
+        return sim::kIdleForever;
     }
     [[nodiscard]] bool quiescent() const override { return false; }
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
-        (void)now;
-        return next_;
-    }
 
 private:
     std::uint32_t id_;
     std::uint64_t rng_;
     sim::WheelScheduler* sched_;
     std::vector<std::uint32_t>* sleepers_;
-    sim::Cycle next_ = sim::kIdleForever;
 };
 
 void BM_WheelSchedulerPopRearmMmulPfMix(benchmark::State& state) {

@@ -108,8 +108,8 @@ struct MachineConfig {
     /// and the rest of RunResult are byte-identical either way.
     bool profile = false;
     /// The scheduling policy of the one run loop (sim/wheel.hpp).  On (the
-    /// default), each component is visited only at its declared
-    /// next_activity() cycle, inbound traffic re-arms sleepers, and the
+    /// default), each component is visited only at the horizon its last
+    /// tick returned, inbound traffic re-arms sleepers, and the
     /// loop jumps over cycles at which nothing is due.  Off is the
     /// per-cycle reference: every component is re-armed at now + 1 after
     /// each pass, so each one is ticked every cycle in list order and no

@@ -105,7 +105,6 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
         links_.reserve(cfg_.nodes);
         for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
             links_.emplace_back(cfg_.link);
-            links_.back().set_name("link" + std::to_string(n));
         }
     }
     pes_.reserve(cfg_.total_pes());
@@ -556,8 +555,8 @@ void Machine::save_snapshot_file(sim::Cycle cycle,
     for (const sim::Component* c : components_) {
         c->save_state(w.section(c->name()));
     }
-    for (const noc::Link& link : links_) {
-        link.save_state(w.section(link.name()));
+    for (std::size_t n = 0; n < links_.size(); ++n) {
+        links_[n].save_state(w.section("link" + std::to_string(n)));
     }
     sim::StateSink& sp = w.section("spans");
     sim::save_seq(sp, spans_, save_thread_span);
@@ -629,9 +628,9 @@ void Machine::restore(const std::string& path) {
         c->load_state(s);
         s.finish();
     }
-    for (noc::Link& link : links_) {
-        sim::StateSource s = reader.section(link.name());
-        link.load_state(s);
+    for (std::size_t n = 0; n < links_.size(); ++n) {
+        sim::StateSource s = reader.section("link" + std::to_string(n));
+        links_[n].load_state(s);
         s.finish();
     }
     {

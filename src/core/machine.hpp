@@ -3,11 +3,12 @@
 ///        scheduler, the bus fabric(s), the memory controller, and the run
 ///        loop (Fig. 2 of the paper).
 ///
-/// Every timed part of the machine is a sim::Component registered in one
-/// scheduler list; wiring between them is declared once at construction as
-/// typed sim::Port bindings.  One run loop drives the list through the
-/// due-array scheduler (sim/wheel.hpp): each component is visited only at
-/// the cycle it declared, and the loop jumps straight over cycles at which
+/// Every scheduled part of the machine is a sim::Component registered in one
+/// scheduler list (MFCs, ring links and main memory are ticked by their
+/// owners); wiring between them is declared once at construction as typed
+/// sim::Port bindings.  One run loop drives the list through the due-array
+/// scheduler (sim/wheel.hpp): each component is visited only at the cycle
+/// its last tick returned, and the loop jumps straight over cycles at which
 /// nothing is due (cycle-exact; see docs/ARCHITECTURE.md).
 #pragma once
 

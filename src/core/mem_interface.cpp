@@ -108,25 +108,19 @@ void MemInterface::drain_responses() {
     }
 }
 
-void MemInterface::tick(sim::Cycle now) {
+sim::Cycle MemInterface::tick(sim::Cycle now) {
     noc::Packet pkt;
     while (rx_.pop(pkt)) {
         decode(std::move(pkt));
     }
     mem_.tick(now);
     drain_responses();
+    return tx_.empty() ? mem_.next_activity(now) : now + 1;
 }
 
 bool MemInterface::quiescent() const {
     return rx_.empty() && tx_.empty() && ctxs_.outstanding() == 0 &&
            mem_.quiescent();
-}
-
-sim::Cycle MemInterface::next_activity(sim::Cycle now) const {
-    if (!rx_.empty() || !tx_.empty()) {
-        return now + 1;  // decode / injection retry next tick
-    }
-    return mem_.next_activity(now);
 }
 
 void MemInterface::save_state(sim::StateSink& s) const {

@@ -35,10 +35,10 @@ public:
     /// Decode rx packets into requests, advance the controller, package
     /// completions.  Request decode runs before the controller tick, as in
     /// the seed's route-then-tick ordering, so enqueue-to-service timing is
-    /// unchanged.
-    void tick(sim::Cycle now) override;
+    /// unchanged.  Returns now + 1 while responses await injection, else
+    /// the controller's horizon.
+    sim::Cycle tick(sim::Cycle now) override;
     [[nodiscard]] bool quiescent() const override;
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
 
     /// Timed accesses in flight (for tests).
     [[nodiscard]] std::uint64_t outstanding() const {

@@ -30,7 +30,7 @@ bool NodeRouter::inject(noc::EndpointId src, noc::Packet pkt,
     return fabric_.try_inject(src, std::move(pkt), now);
 }
 
-void NodeRouter::tick(sim::Cycle now) {
+sim::Cycle NodeRouter::tick(sim::Cycle now) {
     // (a) packets that arrived over the inbound link
     while (!arrivals_.empty()) {
         if (arrivals_.front().dst_node == node_) {
@@ -110,6 +110,7 @@ void NodeRouter::tick(sim::Cycle now) {
             forward_to_->push(std::move(pkt));
         }
     }
+    return horizon(now);
 }
 
 bool NodeRouter::quiescent() const {
@@ -117,7 +118,7 @@ bool NodeRouter::quiescent() const {
            (link_ == nullptr || link_->quiescent());
 }
 
-sim::Cycle NodeRouter::next_activity(sim::Cycle now) const {
+sim::Cycle NodeRouter::horizon(sim::Cycle now) const {
     // Queued packets are retried against the fabric every tick; the retry
     // (and the injection once credit frees) is observable activity.  The
     // pull-model producer queues this router drains (memory responses, DSE

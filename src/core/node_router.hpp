@@ -54,9 +54,8 @@ public:
         ordinal_ = ordinal;
     }
 
-    void tick(sim::Cycle now) override;
+    sim::Cycle tick(sim::Cycle now) override;
     [[nodiscard]] bool quiescent() const override;
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
 
     // --- checkpoint/restore -------------------------------------------------
     /// Serializes the two packet ports; everything else is wiring.
@@ -66,6 +65,8 @@ public:
 private:
     [[nodiscard]] bool inject(noc::EndpointId src, noc::Packet pkt,
                               sim::Cycle now);
+    /// The horizon tick() returns, read after the link's deliveries moved.
+    [[nodiscard]] sim::Cycle horizon(sim::Cycle now) const;
 
     std::uint16_t node_;
     std::uint16_t num_nodes_;

@@ -879,7 +879,7 @@ sim::Cycle Pe::operand_horizon(const isa::IssueFacts& f,
     return h;
 }
 
-sim::Cycle Pe::next_activity(sim::Cycle now) const {
+sim::Cycle Pe::horizon(sim::Cycle now) const {
     // Undecoded deliveries, undrained producer traffic, or a completed
     // FALLOC waiting to land in its register: work next cycle.
     if (!inbox_.empty() || !outgoing_.empty() || !lse_.outgoing_empty() ||

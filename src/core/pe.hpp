@@ -59,22 +59,21 @@ public:
     [[nodiscard]] sim::Port<noc::Packet>& outgoing_port() { return outgoing_; }
 
     // ---- component interface ---------------------------------------------
-    /// One full PE cycle: local store, then units, then the SPU pipeline.
-    /// PEs share no intra-cycle state, so fusing the three seed phases
-    /// per-PE is cycle-equivalent to the seed's three machine-wide loops.
-    void tick(sim::Cycle now) override {
+    /// One full PE cycle: local store, then units, then the SPU pipeline;
+    /// returns horizon().  PEs share no intra-cycle state, so fusing the
+    /// three seed phases per-PE is cycle-equivalent to the seed's three
+    /// machine-wide loops.
+    sim::Cycle tick(sim::Cycle now) override {
         tick_local_store(now);
         tick_units(now);
         tick_spu(now);
+        return horizon(now);
     }
-
-    /// Earliest cycle this PE (SPU + LS + LSE + MFC) could change state.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
 
     /// Bulk-applies the per-cycle accounting the seed loop would have
     /// produced for the skipped cycles [from, to): exactly one Breakdown
     /// bucket per cycle (the stall/idle reason is invariant across a
-    /// skipped span by construction of next_activity), per-code cycle
+    /// skipped span by construction of horizon()), per-code cycle
     /// attribution, and the stale-by-one event clocks of the MFC and LSE.
     void skip(sim::Cycle from, sim::Cycle to) override;
 
@@ -175,6 +174,8 @@ private:
     [[nodiscard]] CycleBucket stall_bucket(RegSrc src) const;
     [[nodiscard]] std::optional<CycleBucket> operand_block(
         const isa::IssueFacts& f, sim::Cycle now) const;
+    /// Earliest cycle this PE (SPU + LS + LSE + MFC) could change state.
+    [[nodiscard]] sim::Cycle horizon(sim::Cycle now) const;
     /// Earliest cycle a finite operand ready-time could change the issue
     /// verdict of \p f (kIdleForever when all blockers are external).
     [[nodiscard]] sim::Cycle operand_horizon(const isa::IssueFacts& f,

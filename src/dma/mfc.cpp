@@ -45,7 +45,6 @@ Mfc::Mfc(const MfcConfig& cfg, mem::LocalStore& ls) : cfg_(cfg), ls_(ls) {
                     "MFC line size incompatible with local store");
     DTA_SIM_REQUIRE(cfg.max_outstanding_lines > 0,
                     "MFC needs at least one outstanding line");
-    set_name("mfc");
 }
 
 sim::Cycle Mfc::next_activity(sim::Cycle now) const {

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "mem/local_store.hpp"
-#include "sim/component.hpp"
 #include "sim/metrics.hpp"
 #include "sim/types.hpp"
 
@@ -90,8 +89,8 @@ struct DmaSpan {
     sim::Cycle end = 0;  ///< exclusive
 };
 
-/// One SPE's DMA engine.
-class Mfc final : public sim::Component {
+/// One SPE's DMA engine, ticked by its PE (not a sim::Component).
+class Mfc {
 public:
     /// \p ls is the local store DMA data is staged in/out of; not owned.
     Mfc(const MfcConfig& cfg, mem::LocalStore& ls);
@@ -107,7 +106,7 @@ public:
     /// Advances decode, line issue, and LS write-back by one cycle.  A tick
     /// with nothing due — no decode, no queued command, no LS response for
     /// the MFC, no command with lines left to emit — only stamps now_.
-    void tick(sim::Cycle now) override {
+    void tick(sim::Cycle now) {
         now_ = now;
         if (!decoding_ && queue_.empty() && emitting_ == 0 &&
             !ls_.has_response(mem::LsClient::kMfc)) {
@@ -120,12 +119,12 @@ public:
     /// owning PE next cycle; a decode in progress matures at
     /// decode_done_at_; lines in flight wait on external data (reported by
     /// whichever component carries them).
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const;
 
     /// Skipped cycles only need the stale-by-one event timestamp updated:
     /// off-tick calls (ack_put_line) observe the previous cycle's now_,
     /// exactly as they would after a real tick at to - 1.
-    void skip(sim::Cycle from, sim::Cycle to) override {
+    void skip(sim::Cycle from, sim::Cycle to) {
         (void)from;
         now_ = to - 1;
     }
@@ -145,7 +144,7 @@ public:
     [[nodiscard]] bool pop_completion(MfcCompletion& out);
 
     /// True when no command or line is pending anywhere in the engine.
-    [[nodiscard]] bool quiescent() const override;
+    [[nodiscard]] bool quiescent() const;
 
     /// Invariant audit (sim/audit.hpp): line/tag accounting — the in-flight
     /// counter, line table, free-slot list, and per-command line ledgers
@@ -189,8 +188,8 @@ public:
     /// command's line ledger, emitted-but-unfetched lines, the in-flight
     /// line table, completions, and statistics — a snapshot taken mid-DMA
     /// restores with the transfer still in flight.
-    void save_state(sim::StateSink& s) const override;
-    void load_state(sim::StateSource& s) override;
+    void save_state(sim::StateSink& s) const;
+    void load_state(sim::StateSource& s);
 
 private:
     struct ActiveCommand {

@@ -39,7 +39,6 @@ MainMemory::MainMemory(const MainMemoryConfig& cfg) : cfg_(cfg) {
                         cfg.max_request_bytes <= kPageBytes,
                     "invalid max_request_bytes");
     pages_.resize((cfg.size_bytes + kPageBytes - 1) / kPageBytes);
-    set_name("mem");
 }
 
 void MainMemory::bounds_check(sim::MemAddr addr, std::uint64_t size) const {

@@ -22,8 +22,12 @@
 #include <span>
 #include <vector>
 
-#include "sim/component.hpp"
 #include "sim/types.hpp"
+
+namespace dta::sim {
+class StateSink;
+class StateSource;
+}  // namespace dta::sim
 
 namespace dta::mem {
 
@@ -58,8 +62,8 @@ struct MemResponse {
     std::uint64_t meta = 0;
 };
 
-/// The simulated DRAM.
-class MainMemory final : public sim::Component {
+/// The simulated DRAM, ticked by the memory interface (not a Component).
+class MainMemory {
 public:
     explicit MainMemory(const MainMemoryConfig& cfg);
 
@@ -78,19 +82,19 @@ public:
 
     /// Advances one cycle: starts up to `ports` queued requests and retires
     /// those whose latency elapsed into the response queue.
-    void tick(sim::Cycle now) override;
+    void tick(sim::Cycle now);
 
     /// Drains one completed response, if any.
     [[nodiscard]] bool pop_response(MemResponse& out);
 
     /// True when no request is queued or in flight.
-    [[nodiscard]] bool quiescent() const override {
+    [[nodiscard]] bool quiescent() const {
         return queue_.empty() && in_flight_.empty() && responses_.empty();
     }
 
     /// Horizon: completed responses await an external pop; queued requests
     /// start when the port frees; in-flight requests retire at done_at.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
         if (!responses_.empty()) {
             return now + 1;
         }
@@ -126,8 +130,8 @@ public:
     // --- checkpoint/restore -------------------------------------------------
     /// Serializes the backing store (allocated pages only), both timed
     /// queues, in-flight accesses, and statistics.
-    void save_state(sim::StateSink& s) const override;
-    void load_state(sim::StateSource& s) override;
+    void save_state(sim::StateSink& s) const;
+    void load_state(sim::StateSource& s);
 
 private:
     struct InFlight {

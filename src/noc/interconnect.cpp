@@ -62,9 +62,9 @@ std::size_t Interconnect::pending() const {
     return n;
 }
 
-void Interconnect::tick(sim::Cycle now) {
+sim::Cycle Interconnect::tick(sim::Cycle now) {
     if (inject_pending_ == 0 && in_transit_.empty()) {
-        return;  // empty fabric: nothing to mature, nothing to grant
+        return horizon(now);  // empty fabric: nothing to mature or grant
     }
     // 1. Mature in-flight packets into destination inboxes.
     while (!in_transit_.empty() && in_transit_.top().deliver_at <= now) {
@@ -115,6 +115,7 @@ void Interconnect::tick(sim::Cycle now) {
             break;  // nothing pending anywhere; remaining buses stay idle
         }
     }
+    return horizon(now);
 }
 
 bool Interconnect::pop_delivered(EndpointId dst, Packet& out) {
@@ -229,7 +230,7 @@ bool Interconnect::quiescent() const {
     return true;
 }
 
-sim::Cycle Interconnect::next_activity(sim::Cycle now) const {
+sim::Cycle Interconnect::horizon(sim::Cycle now) const {
     sim::Cycle h = sim::kIdleForever;
     // Undelivered inbox packets wait on an external pop; conservatively
     // assume the consumer retries next cycle (only unbound endpoints).

@@ -72,8 +72,11 @@ public:
     void bind_endpoint(EndpointId dst, sim::Port<Packet>* sink);
 
     /// Arbitrates buses and matures in-flight packets into bound sinks
-    /// (or the inboxes of unbound endpoints).
-    void tick(sim::Cycle now) override;
+    /// (or the inboxes of unbound endpoints).  Returns the horizon:
+    /// matured-but-unfetched inbox packets and pending injections need a
+    /// next-cycle retry; otherwise the earliest of the next bus grant and
+    /// the next in-flight delivery.
+    sim::Cycle tick(sim::Cycle now) override;
 
     /// Pops the next delivered packet for \p dst, if any (unbound endpoints
     /// only — bound endpoints receive deliveries through their sink port).
@@ -81,11 +84,6 @@ public:
 
     /// True when no packet is queued, in transfer, or awaiting pickup.
     [[nodiscard]] bool quiescent() const override;
-
-    /// Horizon: matured-but-unfetched inbox packets and pending injections
-    /// need a next-cycle retry; otherwise the earliest of the next bus
-    /// grant and the next in-flight delivery.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
 
     [[nodiscard]] const InterconnectStats& stats() const { return stats_; }
     [[nodiscard]] const InterconnectConfig& config() const { return cfg_; }
@@ -129,6 +127,8 @@ private:
     };
 
     [[nodiscard]] std::uint32_t transfer_cycles(const Packet& pkt) const;
+    /// The horizon tick() returns, read from the state it leaves behind.
+    [[nodiscard]] sim::Cycle horizon(sim::Cycle now) const;
 
     InterconnectConfig cfg_;
     std::vector<std::deque<Packet>> inject_;   ///< per-endpoint injection queues

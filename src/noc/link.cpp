@@ -9,7 +9,6 @@ namespace dta::noc {
 Link::Link(const LinkConfig& cfg) : cfg_(cfg) {
     DTA_SIM_REQUIRE(cfg.bytes_per_cycle > 0, "link bandwidth must be non-zero");
     DTA_SIM_REQUIRE(cfg.queue_depth > 0, "link queue must hold packets");
-    set_name("link");
 }
 
 bool Link::try_send(Packet pkt) {

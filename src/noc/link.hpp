@@ -13,7 +13,6 @@
 #include <deque>
 
 #include "noc/packet.hpp"
-#include "sim/component.hpp"
 #include "sim/types.hpp"
 
 namespace dta::noc {
@@ -25,9 +24,10 @@ struct LinkConfig {
     std::uint32_t queue_depth = 32;     ///< sender-side buffer
 };
 
-/// A unidirectional inter-node channel.  Matured packets collect in
-/// `delivered_`, and the owning router pops and forwards them.
-class Link final : public sim::Component {
+/// A unidirectional inter-node channel, ticked by its router (not a
+/// sim::Component).  Matured packets collect in `delivered_`, and the
+/// router pops and forwards them.
+class Link {
 public:
     explicit Link(const LinkConfig& cfg);
 
@@ -37,17 +37,17 @@ public:
     /// Returns false if the sender-side buffer is full.
     [[nodiscard]] bool try_send(Packet pkt);
 
-    void tick(sim::Cycle now) override;
+    void tick(sim::Cycle now);
 
     [[nodiscard]] bool pop_delivered(Packet& out);
-    [[nodiscard]] bool quiescent() const override {
+    [[nodiscard]] bool quiescent() const {
         return queue_.empty() && in_transit_.empty() && delivered_.empty();
     }
 
     /// Horizon: delivered packets await an external pop next cycle; the
     /// serialiser starts the next queued packet when the wire frees; an
     /// in-flight packet matures at its deliver_at.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
         if (!delivered_.empty()) {
             return now + 1;
         }
@@ -72,8 +72,8 @@ public:
     // --- checkpoint/restore -------------------------------------------------
     /// Serializes sender queue, on-wire packets, delivered-but-unpopped
     /// packets, and statistics.
-    void save_state(sim::StateSink& s) const override;
-    void load_state(sim::StateSource& s) override;
+    void save_state(sim::StateSink& s) const;
+    void load_state(sim::StateSource& s);
 
 private:
     struct InTransit {

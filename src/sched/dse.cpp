@@ -14,7 +14,7 @@ Dse::Dse(const Topology& topo, std::uint16_t node, std::uint32_t frames_per_pe,
     set_name("dse" + std::to_string(node));
 }
 
-void Dse::tick(sim::Cycle now) {
+sim::Cycle Dse::tick(sim::Cycle now) {
     noc::Packet pkt;
     while (rx_.pop(pkt)) {
         switch (static_cast<MsgKind>(pkt.kind)) {
@@ -30,6 +30,7 @@ void Dse::tick(sim::Cycle now) {
                                          std::to_string(pkt.kind));
         }
     }
+    return outbox_.empty() ? sim::kIdleForever : now + 1;
 }
 
 bool Dse::try_grant(const Pending& req) {

@@ -51,8 +51,10 @@ public:
     [[nodiscard]] sim::Port<noc::Packet>& rx_port() { return rx_; }
 
     /// Drains the rx port: kFallocReq and kFrameFree packets delivered by
-    /// the fabric this cycle are decoded and handled.
-    void tick(sim::Cycle now) override;
+    /// the fabric this cycle are decoded and handled.  Returns the horizon:
+    /// undrained outbox messages need a next-cycle retry; parked requests
+    /// wait on an external kFrameFree.
+    sim::Cycle tick(sim::Cycle now) override;
 
     /// Handles a kFallocReq (from a local LSE or a remote DSE); \p now
     /// stamps requests that park so their queue wait can be measured.
@@ -83,12 +85,6 @@ public:
         return pending_.empty() && outbox_.empty() && rx_.empty();
     }
 
-    /// Horizon: undelivered rx packets and undrained outbox messages need a
-    /// next-cycle retry; parked requests wait on an external kFrameFree.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
-        return (!rx_.empty() || !outbox_.empty()) ? now + 1
-                                                  : sim::kIdleForever;
-    }
     [[nodiscard]] const DseStats& stats() const { return stats_; }
 
     /// Resolves the sched.dse_queue_wait histogram (cycles a FALLOC request

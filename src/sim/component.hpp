@@ -1,17 +1,17 @@
 /// \file component.hpp
 /// \brief The uniform clocked-component interface.
 ///
-/// Every timed layer of the machine (SPU pipelines, MFCs, bus fabrics,
-/// inter-node links, main memory, schedulers) implements `Component` so the
+/// The machine's scheduled parts (SPU pipelines, bus fabrics, schedulers,
+/// the memory interface and the node routers) implement `Component` so the
 /// machine can drive them from one scheduler loop instead of hand-rolled
 /// per-type loops, and — crucially — can *skip* cycles nobody needs.
 ///
 /// ## The horizon contract
 ///
-/// `next_activity(now)` is queried right after `tick(now)` and must return
-/// the earliest cycle strictly greater than `now` at which this component's
-/// `tick` could change observable state **assuming it receives no new
-/// input**, or `kIdleForever` if no internally-scheduled event is pending.
+/// `tick(now)` returns the earliest cycle strictly greater than `now` at
+/// which this component's `tick` could change observable state **assuming
+/// it receives no new input**, or `kIdleForever` if no internally-scheduled
+/// event is pending, read from the state the tick leaves behind.
 ///
 /// "Assuming no new input" is what makes the contract local: a component
 /// waiting on an in-flight request (a DMA line crossing the NoC, a read
@@ -27,6 +27,11 @@
 ///     request, starting a decode) must not be skipped; report `now + 1`
 ///     until the mutation has happened.
 ///
+/// Parts that a component ticks and then changes (the MFC, an inter-node
+/// link, main memory) are not Components: a horizon from their own tick
+/// would come too early.  Each keeps a plain `next_activity(now) const`
+/// that its owner queries at the end of its own tick.
+///
 /// `skip(from, to)` accounts for cycles a component is not ticked: the
 /// per-cycle bookkeeping ticking would have produced (idle/prefetch
 /// breakdown charges, stale-by-one timestamp reads) is applied in bulk.
@@ -35,9 +40,9 @@
 /// ## The re-arm/wake contract (the scheduler)
 ///
 /// The scheduler (sim/wheel.hpp) applies the horizon contract *per
-/// component*: after every tick the component is re-armed at exactly
-/// `next_activity(now)` in the scheduler's due array and is not visited
-/// before then.
+/// component*: after every tick the component is re-armed at exactly the
+/// horizon the tick returned, in the scheduler's due array, and is not
+/// visited before then.
 /// The "assuming no new input" escape hatch is closed by wakes: every queue
 /// a component drains carries a `Waker` binding (Port<T>::set_waker, or the
 /// equivalent hook on the fabric), so the
@@ -46,7 +51,7 @@
 /// (producer index below consumer index in the scheduler list), else at the
 /// next one. Two consequences for implementers:
 ///
-///  1. `next_activity()` must cover every queue whose *drain* the component
+///  1. The horizon must cover every queue whose *drain* the component
 ///     performs, even queues filled by other components mid-cycle: after
 ///     the wake delivers the first visit, the component's own horizon keeps
 ///     it hot until the queue empties (rule 1 above). A pull-model queue
@@ -89,9 +94,6 @@
 
 namespace dta::sim {
 
-/// Sentinel horizon: no internally-scheduled activity, ever.
-inline constexpr Cycle kIdleForever = kCycleNever;
-
 class StateSink;
 class StateSource;
 
@@ -106,16 +108,15 @@ class Component {
     Component(Component&&) = default;
     Component& operator=(Component&&) = default;
 
-    /// Advance one cycle. Called at most once per simulated cycle, with
-    /// strictly increasing `now` (skipped cycles are never ticked).
-    virtual void tick(Cycle now) = 0;
+    /// Advance one cycle and return the horizon: the earliest cycle > now
+    /// at which tick() could change observable state absent new input,
+    /// kIdleForever if none (see the horizon contract).  Called at most
+    /// once per simulated cycle, with strictly increasing `now` (skipped
+    /// cycles are never ticked).
+    virtual Cycle tick(Cycle now) = 0;
 
     /// True when the component holds no in-flight work at all.
     [[nodiscard]] virtual bool quiescent() const = 0;
-
-    /// Earliest cycle > now at which tick() could change observable state
-    /// absent new input; kIdleForever if none. See the horizon contract.
-    [[nodiscard]] virtual Cycle next_activity(Cycle now) const = 0;
 
     /// Account for cycles [from, to) that will never be ticked. Default:
     /// nothing to do (pure event-driven components need no per-cycle work).

@@ -15,7 +15,6 @@ const char* prof_phase_name(ProfPhase p) {
         case ProfPhase::kSample: return "sample";
         case ProfPhase::kWheelPop: return "wheel_pop";
         case ProfPhase::kWheelInsert: return "wheel_insert";
-        case ProfPhase::kRearm: return "rearm";
         case ProfPhase::kCount: break;
     }
     return "?";

@@ -45,7 +45,6 @@ enum class ProfPhase : std::uint8_t {
     kSample,           ///< gauge sampling / metrics snapshots
     kWheelPop,         ///< the due-array pass, outside its visits
     kWheelInsert,      ///< due-array arms from wakes
-    kRearm,            ///< post-tick horizon query + reschedule
     kCount
 };
 

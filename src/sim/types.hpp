@@ -14,6 +14,9 @@ using Cycle = std::uint64_t;
 /// pending on a main-memory round trip whose latency is dynamic).
 inline constexpr Cycle kCycleNever = std::numeric_limits<Cycle>::max();
 
+/// Sentinel horizon: no internally-scheduled activity, ever.
+inline constexpr Cycle kIdleForever = kCycleNever;
+
 /// Byte address into the simulated main memory (512 MB fits easily).
 using MemAddr = std::uint64_t;
 

@@ -84,23 +84,18 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
         if (acct_[i] < at) {
             c->skip(acct_[i], at);
         }
-        c->tick(at);
+        const Cycle h = c->tick(at);
         acct_[i] = at + 1;
         if (pb != nullptr) {
             prof_charge(pb, t, i + 1, ProfPhase::kTick);
         }
-        const Cycle h = c->next_activity(at);
         DTA_CHECK_MSG(h > at, "component horizon not in the future");
-        ++stats_.rearms;
         due_[i] = h;
         if (h == kIdleForever) {
             --armed_;
         } else {
             ++stats_.inserts;
             next = std::min(next, h);
-        }
-        if (pb != nullptr) {
-            prof_charge(pb, t, ProfBuffer::kShardSlot, ProfPhase::kRearm);
         }
         ++ticked;
     }

@@ -3,9 +3,9 @@
 ///        that turns "tick every component every cycle" into "visit each
 ///        component only when it can act".
 ///
-/// After every tick a component is *re-armed* at its own declared horizon
-/// (`next_activity()`) and sleeps until then; inbound traffic re-arms
-/// sleepers through the wake contract (sim/component.hpp).  Results are
+/// After every tick a component is *re-armed* at the horizon the tick
+/// returned and sleeps until then; inbound traffic re-arms sleepers
+/// through the wake contract (sim/component.hpp).  Results are
 /// fingerprint-exact by construction:
 ///
 ///  * Per-component accounting cursors.  `acct_[i]` is component i's next
@@ -58,7 +58,6 @@ struct WheelStats {
     /// Arms at a later cycle: start(), finite re-arms and next-cycle wakes
     /// (a same-cycle wake joins the pass in flight and is not counted).
     std::uint64_t inserts = 0;
-    std::uint64_t rearms = 0;   ///< post-tick next_activity() reschedules
     std::uint64_t wakes = 0;    ///< inbound-traffic wakes that re-armed
     std::uint64_t active_cycles = 0;   ///< cycles with >= 1 due component
     /// Always 0: the scheduler no longer degrades to dense ticking.  Kept
@@ -117,12 +116,12 @@ public:
     [[nodiscard]] Cycle next_due() const { return next_; }
 
     /// Runs one cycle: one ascending pass over the due array that visits
-    /// every component due at \p at (catch-up skip, tick, re-arm), folding
-    /// in same-cycle wakes, and recomputes next_due().  \p at must not pass
-    /// next_due().  Returns the number of components ticked.  \p pb / \p t
-    /// thread the run loop's chained profiling timer through (null pb
-    /// disables): visits charge kTick and kRearm, the rest of the pass
-    /// kWheelPop.
+    /// every component due at \p at (catch-up skip, tick, re-arm at the
+    /// returned horizon), folding in same-cycle wakes, and recomputes
+    /// next_due().  \p at must not pass next_due().  Returns the number of
+    /// components ticked.  \p pb / \p t thread the run loop's chained
+    /// profiling timer through (null pb disables): visits charge kTick, the
+    /// rest of the pass (re-arm stores included) kWheelPop.
     std::uint32_t run_cycle(Cycle at, ProfBuffer* pb, std::uint64_t& t);
 
     /// Bulk-accounts [acct_i, to) on every component lagging behind \p to —

@@ -264,8 +264,7 @@ std::string run_report_json(const core::RunResult& r,
         const sim::WheelStats& w = r.wheel;
         os << "  \"host\": {\"wheel\": {\"enabled\": "
            << (w.enabled ? "true" : "false") << ", \"pops\": " << w.pops
-           << ", \"inserts\": " << w.inserts << ", \"rearms\": " << w.rearms
-           << ", \"wakes\": " << w.wakes
+           << ", \"inserts\": " << w.inserts << ", \"wakes\": " << w.wakes
            << ", \"active_cycles\": " << w.active_cycles
            << ", \"dense_cycles\": " << w.dense_cycles
            << ", \"peak_occupancy\": " << w.peak_occupancy << "}},\n";

@@ -23,6 +23,7 @@
 #include "dma/mfc.hpp"
 #include "sim/check.hpp"
 #include "sim/events.hpp"
+#include "sim/snapshot.hpp"
 #include "stats/json_report.hpp"
 #include "workloads/bitcnt.hpp"
 #include "workloads/mmul.hpp"
@@ -281,6 +282,33 @@ TEST(SnapshotDeterminism, MismatchedConfigOrProgramRejected) {
         EXPECT_TRUE(w.check(m.memory(), &why)) << why;
         EXPECT_GT(res.cycles, 0u);
     }
+    std::remove(path.c_str());
+}
+
+// The section list is part of the snapshot format (v3): renaming a
+// component, or the ring links the Machine names itself, must show up
+// here rather than slip into the format unnoticed.
+TEST(SnapshotDeterminism, SectionNamesArePinned) {
+    workloads::BitCount::Params p;
+    p.iterations = 64;
+    const workloads::BitCount w(p);
+    MachineConfig cfg = workloads::BitCount::machine_config(8);
+    cfg.nodes = 3;
+    cfg.spes_per_node = 2;
+    const std::string path = testing::TempDir() + "snapdet_sections.dtasnap";
+    {
+        Machine m(cfg, w.program());
+        w.init_memory(m.memory());
+        m.launch(w.entry_args());
+        m.checkpoint(path);
+    }
+    const std::vector<std::string> want = {
+        "config", "dse0",    "dse1",    "dse2",    "events",  "link0",
+        "link1",  "link2",   "machine", "mem",     "memif",   "metrics",
+        "noc0",   "noc1",    "noc2",    "pe0",     "pe1",     "pe2",
+        "pe3",    "pe4",     "pe5",     "router0", "router1", "router2",
+        "spans"};
+    EXPECT_EQ(sim::SnapshotReader(path).section_names(), want);
     std::remove(path.c_str());
 }
 

@@ -1,9 +1,11 @@
-// Unit tests for the Component horizon contract: next_activity(now), queried
-// right after tick(now), must be the earliest cycle > now at which tick could
-// change observable state assuming no new external input — kIdleForever when
-// the component only waits on someone else.  The fast-forward scheduler
-// relies on these answers being exact, so each state of the four leaf timing
-// models (MainMemory, Interconnect, Link, Mfc) is pinned here.
+// Unit tests for the horizon contract (sim/component.hpp): the horizon must
+// be the earliest cycle > now at which tick could change observable state
+// assuming no new external input — kIdleForever when the part only waits on
+// someone else.  The due-array scheduler relies on these answers being
+// exact, so each state of the leaf timing models is pinned here: the
+// Interconnect, a scheduled component, through the horizon tick() returns;
+// MainMemory, Link and Mfc, which their owners tick and then query, through
+// next_activity().
 #include <gtest/gtest.h>
 
 #include "dma/mfc.hpp"
@@ -11,7 +13,7 @@
 #include "mem/main_memory.hpp"
 #include "noc/interconnect.hpp"
 #include "noc/link.hpp"
-#include "sim/component.hpp"
+#include "sim/types.hpp"
 
 namespace dta {
 namespace {
@@ -69,7 +71,7 @@ TEST(MainMemoryHorizon, SecondRequestWaitsForBankBusy) {
 TEST(InterconnectHorizon, IdleIsForever) {
     noc::Interconnect ic{noc::InterconnectConfig{}, 2};
     EXPECT_TRUE(ic.quiescent());
-    EXPECT_EQ(ic.next_activity(0), sim::kIdleForever);
+    EXPECT_EQ(ic.tick(0), sim::kIdleForever);
 }
 
 TEST(InterconnectHorizon, FollowsPacketLifetime) {
@@ -80,19 +82,17 @@ TEST(InterconnectHorizon, FollowsPacketLifetime) {
     pkt.dst = 1;
     pkt.size_bytes = 8;  // occupies one bus for exactly one cycle
     ASSERT_TRUE(ic.try_inject(0, pkt, 0));
-    // Pending injection: a free bus grants on the next tick.
-    EXPECT_EQ(ic.next_activity(0), 1u);
-
-    ic.tick(1);  // granted: delivery at 1 + occupancy(1) + hop_latency
+    // Pending injection: a free bus grants on the next tick, so delivery
+    // is at 1 + occupancy(1) + hop_latency.
     const sim::Cycle deliver_at = 1 + 1 + cfg.hop_latency;
-    EXPECT_EQ(ic.next_activity(1), deliver_at);
+    EXPECT_EQ(ic.tick(1), deliver_at);
 
-    ic.tick(deliver_at);  // matures into the (unbound) endpoint inbox
-    EXPECT_EQ(ic.next_activity(deliver_at), deliver_at + 1);
+    // Matures into the (unbound) endpoint inbox, awaiting an external pop.
+    EXPECT_EQ(ic.tick(deliver_at), deliver_at + 1);
 
     noc::Packet out;
     ASSERT_TRUE(ic.pop_delivered(1, out));
-    EXPECT_EQ(ic.next_activity(deliver_at), sim::kIdleForever);
+    EXPECT_EQ(ic.tick(deliver_at + 1), sim::kIdleForever);
     EXPECT_TRUE(ic.quiescent());
 }
 
@@ -103,9 +103,7 @@ TEST(InterconnectHorizon, OccupancyScalesWithPacketSize) {
     pkt.dst = 1;
     pkt.size_bytes = 128;  // a DMA line: 16 cycles at 8 B/cycle
     ASSERT_TRUE(ic.try_inject(0, pkt, 0));
-    ic.tick(1);
-    EXPECT_EQ(ic.next_activity(1), 1u + 128 / cfg.bytes_per_cycle +
-                                       cfg.hop_latency);
+    EXPECT_EQ(ic.tick(1), 1u + 128 / cfg.bytes_per_cycle + cfg.hop_latency);
 }
 
 // ---- Link: inter-node defaults (latency 40, 16 B/cycle) --------------------

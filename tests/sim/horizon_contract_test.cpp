@@ -1,6 +1,7 @@
-// Property test of the Component horizon contract (sim/component.hpp): the
+// Property test of the horizon contract (sim/component.hpp): the
 // event-driven scheduler visits a component only at the cycles it promises
-// via next_activity(), so a horizon that *under-promises* (claims idleness
+// (the horizon its tick returns; for the parts an owner ticks, their
+// next_activity()), so a horizon that *under-promises* (claims idleness
 // past a cycle where tick() would have changed state) silently corrupts an
 // event-driven run.  For every fuzz machine shape we drive each leaf timing
 // model twice with an identical randomised stimulus schedule:
@@ -8,7 +9,7 @@
 //   * densely  — tick every cycle, drain outputs as they appear;
 //   * lazily   — tick only at the promised horizon (skip() over the slept
 //                span first, exactly like sim::WheelScheduler), re-arming
-//                from next_activity() after every visit and waking on input.
+//                from the horizon after every visit and waking on input.
 //
 // The observable output logs (cycle-stamped pops and admission refusals)
 // must be byte-identical.  A too-late horizon delays or drops an output and
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -29,7 +31,7 @@
 #include "mem/main_memory.hpp"
 #include "noc/interconnect.hpp"
 #include "noc/link.hpp"
-#include "sim/component.hpp"
+#include "sim/port.hpp"
 
 namespace dta {
 namespace {
@@ -106,7 +108,7 @@ void expect_horizon_exact(std::uint64_t seed, sim::Cycle n_cycles,
     EXPECT_TRUE(lazy.quiescent()) << "stimulus did not drain lazily";
     EXPECT_EQ(dense_log, lazy_log)
         << "lazy (horizon-driven) run diverged from the dense reference: "
-        << "some next_activity() under-promised";
+        << "some horizon under-promised";
     // The harness configs all contain idle spans, so a contract-honouring
     // model must actually skip work (guards against kludging the property
     // by always answering now + 1 *and* proves the test exercised skips).
@@ -155,7 +157,9 @@ class MemHarness {
         return any;
     }
     void tick_all(sim::Cycle c) { mem_.tick(c); }
-    void skip_all(sim::Cycle from, sim::Cycle to) { mem_.skip(from, to); }
+    // MainMemory is event-driven (its owner ticks it): no per-cycle
+    // accounting, so a skipped span needs no replay.
+    void skip_all(sim::Cycle, sim::Cycle) {}
     [[nodiscard]] sim::Cycle horizon(sim::Cycle c) const {
         return mem_.next_activity(c);
     }
@@ -201,6 +205,12 @@ class IcHarness {
 
     IcHarness(const Config& cfg, std::uint64_t seed)
         : ic_(cfg, kEndpoints) {
+        // Endpoints deliver into ports, as the Machine binds them.  With
+        // unbound inboxes the horizon tick() returns would come before
+        // drain() empties them, and so be conservatively early.
+        for (noc::EndpointId ep = 0; ep < kEndpoints; ++ep) {
+            ic_.bind_endpoint(ep, &rx_[ep]);
+        }
         Rng rng(seed);
         sim::Cycle at = 1;
         for (std::uint64_t seq = 0; seq < 200; ++seq) {
@@ -230,16 +240,14 @@ class IcHarness {
         }
         return any;
     }
-    void tick_all(sim::Cycle c) { ic_.tick(c); }
+    void tick_all(sim::Cycle c) { horizon_ = ic_.tick(c); }
     void skip_all(sim::Cycle from, sim::Cycle to) { ic_.skip(from, to); }
-    [[nodiscard]] sim::Cycle horizon(sim::Cycle c) const {
-        return ic_.next_activity(c);
-    }
+    [[nodiscard]] sim::Cycle horizon(sim::Cycle) const { return horizon_; }
     [[nodiscard]] bool quiescent() const { return ic_.quiescent(); }
     void drain(sim::Cycle c, std::string& log) {
         noc::Packet out;
         for (noc::EndpointId ep = 0; ep < kEndpoints; ++ep) {
-            while (ic_.pop_delivered(ep, out)) {
+            while (rx_[ep].pop(out)) {
                 append(log, c, ":pkt:", out.a * 100 + ep);
             }
         }
@@ -247,6 +255,8 @@ class IcHarness {
 
  private:
     noc::Interconnect ic_;
+    std::array<sim::Port<noc::Packet>, kEndpoints> rx_;
+    sim::Cycle horizon_ = sim::kIdleForever;
     std::vector<std::pair<sim::Cycle, noc::Packet>> schedule_;
     std::size_t cursor_ = 0;
 };
@@ -302,7 +312,9 @@ class LinkHarness {
         return any;
     }
     void tick_all(sim::Cycle c) { link_.tick(c); }
-    void skip_all(sim::Cycle from, sim::Cycle to) { link_.skip(from, to); }
+    // Link is event-driven (its router ticks it): no per-cycle accounting,
+    // so a skipped span needs no replay.
+    void skip_all(sim::Cycle, sim::Cycle) {}
     [[nodiscard]] sim::Cycle horizon(sim::Cycle c) const {
         return link_.next_activity(c);
     }

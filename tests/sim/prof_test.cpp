@@ -107,14 +107,14 @@ TEST(ProfBuffer, SnapshotsAreCumulative) {
     b.add(1, tick(), 100);
     b.snapshot(10);
     b.add(1, tick(), 50);
-    b.add(0, ProfPhase::kRearm, 30);
+    b.add(0, ProfPhase::kWheelPop, 30);
     b.snapshot(20);
     ASSERT_EQ(b.snapshots().size(), 2u);
     EXPECT_EQ(b.snapshots()[0].cycle, 10u);
     EXPECT_EQ(b.snapshots()[0].ns[static_cast<std::size_t>(tick())], 100u);
     EXPECT_EQ(b.snapshots()[1].ns[static_cast<std::size_t>(tick())], 150u);
     EXPECT_EQ(b.snapshots()[1].ns[static_cast<std::size_t>(
-                  ProfPhase::kRearm)],
+                  ProfPhase::kWheelPop)],
               30u);
 }
 

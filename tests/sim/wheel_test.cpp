@@ -42,24 +42,21 @@ public:
           id_(id),
           log_(log) {}
 
-    void tick(Cycle now) override {
+    Cycle tick(Cycle now) override {
         log_->push_back({now, id_});
-        next_ = kIdleForever;
+        Cycle next = kIdleForever;
         if (!script_.empty()) {
             const Cycle d = script_.front();
             script_.pop_front();
-            next_ = d == kIdleForever ? kIdleForever : now + d;
+            next = d == kIdleForever ? kIdleForever : now + d;
         }
         if (on_tick) {
             on_tick(now);
         }
+        return next;
     }
     void skip(Cycle from, Cycle to) override { skips.push_back({from, to}); }
     [[nodiscard]] bool quiescent() const override { return false; }
-    [[nodiscard]] Cycle next_activity(Cycle now) const override {
-        (void)now;
-        return next_;
-    }
 
     /// Appends horizon deltas for the next visits.
     void then(std::initializer_list<Cycle> deltas) {
@@ -73,7 +70,6 @@ private:
     std::uint32_t id_;
     std::vector<Visit>* log_;
     std::deque<Cycle> script_;
-    Cycle next_ = kIdleForever;
 };
 
 /// N scripted components attached to one scheduler, started at cycle 0.
@@ -324,10 +320,8 @@ public:
             if (acct_[i] < at) {
                 comps_[i]->skip(acct_[i], at);
             }
-            comps_[i]->tick(at);
+            due_[i] = comps_[i]->tick(at);
             acct_[i] = at + 1;
-            due_[i] = comps_[i]->next_activity(at);
-            ++stats.rearms;
             stats.inserts += due_[i] != kIdleForever ? 1 : 0;
             ++ticked;
         }
@@ -386,24 +380,21 @@ public:
           rng_(seed * 1000003 + id),
           log_(log) {}
 
-    void tick(Cycle now) override {
+    Cycle tick(Cycle now) override {
         log_->push_back({now, id_});
         const std::uint64_t pct = rng_.next_below(100);
-        next_ = pct < 50   ? now + 1
-                : pct < 70 ? now + 2 + rng_.next_below(7)
-                : pct < 85 ? now + 9 + rng_.next_below(292)
-                : pct < 88 ? now + 70'000 + rng_.next_below(10'000)
-                           : kIdleForever;
+        const Cycle next = pct < 50   ? now + 1
+                           : pct < 70 ? now + 2 + rng_.next_below(7)
+                           : pct < 85 ? now + 9 + rng_.next_below(292)
+                           : pct < 88 ? now + 70'000 + rng_.next_below(10'000)
+                                      : kIdleForever;
         for (std::uint64_t w = rng_.next_below(3); w > 0; --w) {
             waker->wake(static_cast<std::uint32_t>(rng_.next_below(n_)));
         }
+        return next;
     }
     void skip(Cycle from, Cycle to) override { skips.push_back({from, to}); }
     [[nodiscard]] bool quiescent() const override { return false; }
-    [[nodiscard]] Cycle next_activity(Cycle now) const override {
-        (void)now;
-        return next_;
-    }
 
     Waker* waker = nullptr;
     std::vector<Span> skips;
@@ -413,7 +404,6 @@ private:
     std::uint32_t n_;
     Xoshiro256 rng_;
     std::vector<Visit>* log_;
-    Cycle next_ = kIdleForever;
 };
 
 /// One seeded run: visit log, per-component skip spans, counters, and the
@@ -497,7 +487,6 @@ TEST(WheelScheduler, MatchesPerCycleReferenceOnRandomScripts) {
             EXPECT_EQ(got.cycles, want.cycles);
             EXPECT_EQ(got.stats.pops, want.stats.pops);
             EXPECT_EQ(got.stats.inserts, want.stats.inserts);
-            EXPECT_EQ(got.stats.rearms, want.stats.rearms);
             EXPECT_EQ(got.stats.wakes, want.stats.wakes);
             EXPECT_EQ(got.stats.active_cycles, want.stats.active_cycles);
             EXPECT_EQ(got.stats.peak_occupancy, want.stats.peak_occupancy);

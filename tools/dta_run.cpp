@@ -512,11 +512,10 @@ int main(int argc, char** argv) {
         }
         if (res.wheel.enabled) {
             std::printf(
-                "host: wheel %.2f pops/cycle, %llu inserts, %llu rearms, "
-                "%llu wakes, peak %llu armed\n",
+                "host: wheel %.2f pops/cycle, %llu inserts, %llu wakes, "
+                "peak %llu armed\n",
                 res.wheel.pops_per_cycle(res.cycles),
                 static_cast<unsigned long long>(res.wheel.inserts),
-                static_cast<unsigned long long>(res.wheel.rearms),
                 static_cast<unsigned long long>(res.wheel.wakes),
                 static_cast<unsigned long long>(res.wheel.peak_occupancy));
         }
