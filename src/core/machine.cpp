@@ -457,6 +457,20 @@ void load_dma_span(sim::StateSource& s, dma::DmaSpan& d) {
     d.end = s.u64();
 }
 
+/// Comma-separated names of the components whose index \p pick selects.
+template <typename Pick>
+std::string names_where(const std::vector<sim::Component*>& comps,
+                        Pick pick) {
+    std::string who;
+    for (std::uint32_t i = 0; i < comps.size(); ++i) {
+        if (pick(i)) {
+            who += who.empty() ? "" : ", ";
+            who += comps[i]->name();
+        }
+    }
+    return who;
+}
+
 }  // namespace
 
 void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
@@ -742,14 +756,14 @@ void Machine::sample_span(sim::Cycle from, sim::Cycle to) {
         const sim::Cycle step = cfg_.metrics_sample_interval;
         for (sim::Cycle c = ((from + step - 1) / step) * step; c < to;
              c += step) {
-            const sim::ProfScope ps(pb, sim::ProfBuffer::kShardSlot,
+            const sim::ProfScope ps(pb, sim::ProfBuffer::kLoopSlot,
                                     sim::ProfPhase::kSample);
             sample_gauges(c);
         }
     }
     if (telemetry_ != nullptr) {
         while (telemetry_next_ < to) {
-            const sim::ProfScope ps(pb, sim::ProfBuffer::kShardSlot,
+            const sim::ProfScope ps(pb, sim::ProfBuffer::kLoopSlot,
                                     sim::ProfPhase::kSample);
             capture_telemetry(telemetry_next_);
         }
@@ -757,17 +771,8 @@ void Machine::sample_span(sim::Cycle from, sim::Cycle to) {
 }
 
 bool Machine::check_quiescent() const {
-    // Start at the last witness: in a busy stretch the component that was
-    // not quiescent last cycle usually still is, so the sweep stops at once.
-    const std::size_t n = components_.size();
-    for (std::size_t k = 0, i = quiet_witness_; k < n; ++k) {
-        if (!components_[i]->quiescent()) {
-            quiet_witness_ = i;
-            return false;
-        }
-        i = i + 1 == n ? 0 : i + 1;
-    }
-    return true;
+    return std::all_of(components_.begin(), components_.end(),
+                       [](const sim::Component* c) { return c->quiescent(); });
 }
 
 std::uint64_t Machine::fingerprint() const {
@@ -782,17 +787,15 @@ std::uint64_t Machine::fingerprint() const {
 }
 
 std::string Machine::non_quiescent_names() const {
-    std::string who;
-    for (const sim::Component* c : components_) {
-        if (c->quiescent()) {
-            continue;
-        }
-        if (!who.empty()) {
-            who += ", ";
-        }
-        who += c->name();
-    }
-    return who;
+    return names_where(components_, [this](std::uint32_t i) {
+        return !components_[i]->quiescent();
+    });
+}
+
+std::string Machine::armed_names() const {
+    return names_where(components_, [this](std::uint32_t i) {
+        return wheel_.due(i) != sim::kIdleForever;
+    });
 }
 
 void Machine::throw_deadlock(sim::Cycle now, sim::Cycle stalled,
@@ -820,12 +823,19 @@ void Machine::check_progress(sim::Cycle c, std::uint64_t fp) {
         watch_fp_ = fp;
         watch_since_ = c;
     } else if (c - watch_since_ > cfg_.no_progress_limit) {
+        // A quiescent machine that never ended is a simulator bug, not a
+        // program that outgrew its frames: a horizon broke the end-of-run rule.
+        DTA_CHECK_MSG(!check_quiescent(),
+                      "quiescent machine never went idle (no progress for " +
+                          std::to_string(c - watch_since_) +
+                          " cycles; horizon still armed: " + armed_names() +
+                          ")");
         throw_deadlock(c, c - watch_since_, false);
     }
 }
 
 void Machine::replay_span(sim::Cycle from, sim::Cycle to) {
-    const sim::ProfScope prof(prof_buffer(), sim::ProfBuffer::kShardSlot,
+    const sim::ProfScope prof(prof_buffer(), sim::ProfBuffer::kLoopSlot,
                               sim::ProfPhase::kFastforwardScan);
     skipped_ += to - from;
     sample_span(from, to);
@@ -877,32 +887,38 @@ RunResult Machine::run() {
         if (!cfg_.use_wheel) {
             // The per-cycle reference policy: every component is due again
             // next cycle, so each one is ticked every cycle in list order
-            // and no horizon decides a visit.
-            wheel_.arm_all(now + 1);
+            // and no horizon decides a visit.  It checks, every cycle, the
+            // end-of-run rule the default policy ends on (sim/component.hpp).
+            const bool quiet = check_quiescent();
+            DTA_CHECK_MSG(!quiet || wheel_.idle(),
+                          "quiescent machine at cycle " + std::to_string(now) +
+                              " with a horizon still armed: " +
+                              armed_names());
+            if (!quiet) {
+                wheel_.arm_all(now + 1);
+            }
         }
         sample_span(now, now + 1);
         if (audit_interval_ != 0 && now % audit_interval_ == 0) {
             auditor_.run(now);
             if (pb != nullptr) {
-                prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
+                prof_charge(pb, t, sim::ProfBuffer::kLoopSlot,
                             sim::ProfPhase::kAudit);
             }
         }
         if (progress_interval_ != 0) {
             report_progress(now);
         }
-        const bool quiet = check_quiescent();
-        if (pb != nullptr) {
-            prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
-                        sim::ProfPhase::kQuiescence);
-        }
-        if (quiet) {
+        // By the end-of-run rule a quiescent machine has nothing armed, so
+        // quiescence is asked only once nothing is.
+        const bool idle = wheel_.idle();
+        if (idle && check_quiescent()) {
             logger_.log(sim::LogLevel::kInfo, now, "machine",
                         "quiescent; simulation complete");
             {
                 // Sleepers may still lag behind: apply their deferred skip
                 // bookkeeping so breakdowns cover [0, now + 1) exactly.
-                const sim::ProfScope ff(pb, sim::ProfBuffer::kShardSlot,
+                const sim::ProfScope ff(pb, sim::ProfBuffer::kLoopSlot,
                                         sim::ProfPhase::kFastforwardScan);
                 wheel_.catch_up(now + 1);
             }
@@ -924,7 +940,7 @@ RunResult Machine::run() {
         if ((now & 0xfff) == 0xfff) {
             check_progress(now, fingerprint());
         }
-        if (wheel_.idle()) {
+        if (idle) {
             // This cycle's visits left every horizon at kIdleForever with
             // the machine still non-quiescent: nothing in flight can ever
             // change state again, a certain deadlock the no-progress check
@@ -938,7 +954,7 @@ RunResult Machine::run() {
         }
         now = next;
         if (pb != nullptr) {
-            prof_charge(pb, t, sim::ProfBuffer::kShardSlot,
+            prof_charge(pb, t, sim::ProfBuffer::kLoopSlot,
                         sim::ProfPhase::kNextActivity);
         }
     }

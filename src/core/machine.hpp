@@ -268,12 +268,17 @@ private:
     /// run completes): frame supply back at the DSEs, remote-store
     /// conservation across the NoC, drained engines and fabrics.
     void register_final_checks();
-    /// True when every component is quiescent.  The sweep starts at the
-    /// component that was not quiescent last time (quiet_witness_).
+    /// True when every component is quiescent.  The run loop does not
+    /// poll it: under the default policy it asks only once wheel_ is idle
+    /// (the horizon rule makes every quiescent machine idle), plus at
+    /// telemetry frames and on the no-progress error path; the per-cycle
+    /// reference asks every cycle, to check that rule.
     [[nodiscard]] bool check_quiescent() const;
     /// Activity fingerprint for no-progress (deadlock) detection.
     [[nodiscard]] std::uint64_t fingerprint() const;
     [[nodiscard]] std::string non_quiescent_names() const;
+    /// Names of the components wheel_ holds armed at a finite cycle.
+    [[nodiscard]] std::string armed_names() const;
     [[noreturn]] void throw_deadlock(sim::Cycle now, sim::Cycle stalled,
                                      bool idle_forever) const;
     [[nodiscard]] RunResult gather(sim::Cycle cycles) const;
@@ -325,9 +330,6 @@ private:
     /// Scheduler order: fabrics, DSEs, memif, PEs, routers — the exact
     /// dependency order of the seed's hand-rolled per-cycle loop.
     std::vector<sim::Component*> components_;
-    /// Index into components_ of the last non-quiescent component seen by
-    /// check_quiescent() (a search hint; never changes a result).
-    mutable std::size_t quiet_witness_ = 0;
     sim::Cycle skipped_ = 0;
     /// The scheduler that drives every run.
     sim::WheelScheduler wheel_;

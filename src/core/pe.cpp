@@ -903,9 +903,11 @@ sim::Cycle Pe::horizon(sim::Cycle now) const {
             h = op_h < h ? op_h : h;
         }
     } else {
-        if (!lse_.dispatch_requested()) {
+        if (!lse_.dispatch_requested() && !lse_.quiescent()) {
             return now + 1;  // handle_dispatch posts the request (a mutation)
         }
+        // With an empty LSE nothing is dispatched before a FALLOC wakes this
+        // PE; skip() posts the request, so a quiescent PE stays unarmed.
         if (lse_.ready_count() > 0) {
             sim::Cycle d = lse_.dispatch_ready_at();
             d = d > now + 1 ? d : now + 1;
@@ -921,8 +923,12 @@ void Pe::skip(sim::Cycle from, sim::Cycle to) {
     const std::uint64_t n = to - from;
     if (!bound_) {
         // Replicates handle_dispatch's non-dispatching charges; the horizon
-        // guarantees no dispatch could have happened in [from, to).
-        DTA_CHECK(lse_.dispatch_requested());
+        // guarantees no dispatch could have happened in [from, to).  A PE
+        // that slept with an empty LSE posts its request here, at `from`.
+        if (!lse_.dispatch_requested()) {
+            DTA_CHECK(lse_.quiescent());
+            lse_.request_dispatch(from);
+        }
         if (lse_.ready_count() > 0) {
             DTA_CHECK(to <= lse_.dispatch_ready_at());
             breakdown_.charge(CycleBucket::kLseStall, n);

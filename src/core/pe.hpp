@@ -74,7 +74,8 @@ public:
     /// produced for the skipped cycles [from, to): exactly one Breakdown
     /// bucket per cycle (the stall/idle reason is invariant across a
     /// skipped span by construction of horizon()), per-code cycle
-    /// attribution, and the stale-by-one event clocks of the MFC and LSE.
+    /// attribution, the stale-by-one event clocks of the MFC and LSE, and
+    /// the dispatch request a PE with an empty LSE slept without posting.
     void skip(sim::Cycle from, sim::Cycle to) override;
 
     // ---- per-cycle phases (in tick() order; split for unit tests) --------

@@ -184,55 +184,47 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
         ++flow_id;
     }
 
-    // Host-side tracks: per phase of the run loop's row ("shard0/<phase>"),
-    // the host nanoseconds burnt in each gauge-sampling interval, plotted
-    // against simulated time.  The snapshots carry cumulative totals, so
-    // each point is a delta from the previous one; phases the run never
-    // touched are skipped entirely.
+    // Host-side tracks: per phase ("<phase> (ns)"), the host nanoseconds
+    // burnt in each gauge-sampling interval, plotted against simulated
+    // time.  The snapshots carry cumulative totals, so each point is a delta
+    // from the previous one; phases the run never touched are skipped
+    // entirely.
     if (host.enabled) {
-        for (const sim::HostProfileShard& s : host.shards) {
-            for (std::size_t p = 0; p < sim::kNumProfPhases; ++p) {
-                if (s.phase_ns[p] == 0) {
-                    continue;
-                }
-                std::uint64_t prev = 0;
-                for (const sim::ProfSnapshot& snap : s.samples) {
-                    w.next() << R"(  {"name": ")" << s.name << '/'
-                             << sim::prof_phase_name(
-                                    static_cast<sim::ProfPhase>(p))
-                             << R"j( (ns)", "cat": "host", "ph": "C", "ts": )j"
-                             << snap.cycle << R"(, "pid": 3, "args": )"
-                             << R"({"value": )" << snap.ns[p] - prev << "}}";
-                    prev = snap.ns[p];
-                }
+        for (std::size_t p = 0; p < sim::kNumProfPhases; ++p) {
+            if (host.phase_ns[p] == 0) {
+                continue;
+            }
+            std::uint64_t prev = 0;
+            for (const sim::ProfSnapshot& snap : host.samples) {
+                w.next() << R"(  {"name": ")"
+                         << sim::prof_phase_name(static_cast<sim::ProfPhase>(p))
+                         << R"j( (ns)", "cat": "host", "ph": "C", "ts": )j"
+                         << snap.cycle << R"(, "pid": 3, "args": )"
+                         << R"({"value": )" << snap.ns[p] - prev << "}}";
+                prev = snap.ns[p];
             }
         }
     }
-    // Event-driven scheduler tracks ("shard0/..."): the armed-component
-    // count (an occupancy gauge) plus pop and insert *rates* over each
-    // sampling interval (the samples carry cumulative totals, so each point
-    // is a delta from the previous one); runs without the wheel (or without
-    // metrics) add nothing.
+    // Event-driven scheduler tracks ("armed", "pops", "inserts"): the
+    // armed-component count (an occupancy gauge) plus pop and insert *rates*
+    // over each sampling interval (the samples carry cumulative totals, so
+    // each point is a delta from the previous one); runs without the wheel
+    // (or without metrics) add nothing.
     if (wheel.enabled && !wheel.samples.empty()) {
-        struct Prev {
-            std::uint64_t pops = 0;
-            std::uint64_t inserts = 0;
-        } p;
+        const auto counter = [&w](const char* name, sim::Cycle ts,
+                                  std::uint64_t value) {
+            w.next() << R"(  {"name": ")" << name
+                     << R"(", "cat": "wheel", "ph": "C", "ts": )" << ts
+                     << R"(, "pid": 4, "args": {"value": )" << value << "}}";
+        };
+        std::uint64_t prev_pops = 0;
+        std::uint64_t prev_inserts = 0;
         for (const sim::WheelStats::Sample& s : wheel.samples) {
-            w.next() << R"(  {"name": "shard)" << s.shard
-                     << R"(/armed", "cat": "wheel", "ph": "C", "ts": )"
-                     << s.cycle << R"(, "pid": 4, "args": {"value": )"
-                     << s.occupancy << "}}";
-            w.next() << R"(  {"name": "shard)" << s.shard
-                     << R"(/pops", "cat": "wheel", "ph": "C", "ts": )"
-                     << s.cycle << R"(, "pid": 4, "args": {"value": )"
-                     << s.pops - p.pops << "}}";
-            w.next() << R"(  {"name": "shard)" << s.shard
-                     << R"(/inserts", "cat": "wheel", "ph": "C", "ts": )"
-                     << s.cycle << R"(, "pid": 4, "args": {"value": )"
-                     << s.inserts - p.inserts << "}}";
-            p.pops = s.pops;
-            p.inserts = s.inserts;
+            counter("armed", s.cycle, s.occupancy);
+            counter("pops", s.cycle, s.pops - prev_pops);
+            counter("inserts", s.cycle, s.inserts - prev_inserts);
+            prev_pops = s.pops;
+            prev_inserts = s.inserts;
         }
     }
     // Live-telemetry tracks: machine-wide occupancy and queue-depth gauges

@@ -76,7 +76,7 @@ struct CodeProfile {
     const std::vector<TraceFlow>& flows);
 
 /// Like the flow variant, and additionally renders the host-side profile
-/// (pid 3, "host") as one counter track per phase ("shard0/<phase>"): the
+/// (pid 3, "host") as one counter track per phase ("<phase> (ns)"): the
 /// host nanoseconds that phase consumed per gauge-sampling interval, plotted
 /// against simulated time so host cost lines up under the simulated
 /// activity that caused it.  \p host disabled or without samples adds
@@ -91,7 +91,7 @@ struct CodeProfile {
 /// Like the host variant, and additionally renders the event-driven
 /// scheduler's counters (pid 4, "wheel") as counter tracks: armed
 /// components (occupancy) plus per-sampling-interval pop and insert rates
-/// ("shard0/..." tracks), plotted against simulated time.  \p wheel
+/// ("armed", "pops", "inserts"), plotted against simulated time.  \p wheel
 /// disabled or without samples adds nothing (the output is then
 /// byte-identical to the host variant, which the scheduler-policy
 /// determinism tests use to keep their traces comparable).

@@ -27,6 +27,14 @@
 ///     request, starting a decode) must not be skipped; report `now + 1`
 ///     until the mutation has happened.
 ///
+/// Conservative only while there is work: a horizon may stay finite only
+/// while some component holds work its tick could act on, and once none
+/// does, every tick returns `kIdleForever`.  The run ends on that rule —
+/// it asks quiescent() only once no component is armed — so a finite
+/// horizon on a quiescent machine keeps the run from ending (the
+/// no-progress check then names the armed components in an internal
+/// error).  The per-cycle reference policy checks the rule every cycle.
+///
 /// Parts that a component ticks and then changes (the MFC, an inter-node
 /// link, main memory) are not Components: a horizon from their own tick
 /// would come too early.  Each keeps a plain `next_activity(now) const`
@@ -115,7 +123,8 @@ class Component {
     /// cycles are never ticked).
     virtual Cycle tick(Cycle now) = 0;
 
-    /// True when the component holds no in-flight work at all.
+    /// True when the component holds no in-flight work at all.  Once every
+    /// component is quiescent, every tick must return kIdleForever.
     [[nodiscard]] virtual bool quiescent() const = 0;
 
     /// Account for cycles [from, to) that will never be ticked. Default:

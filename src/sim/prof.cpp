@@ -9,7 +9,6 @@ const char* prof_phase_name(ProfPhase p) {
     switch (p) {
         case ProfPhase::kTick: return "tick";
         case ProfPhase::kNextActivity: return "next_activity";
-        case ProfPhase::kQuiescence: return "quiescence";
         case ProfPhase::kFastforwardScan: return "fastforward_scan";
         case ProfPhase::kAudit: return "audit";
         case ProfPhase::kSample: return "sample";
@@ -47,33 +46,18 @@ std::uint64_t ProfBuffer::total_ns() const {
     return total;
 }
 
-double HostProfileShard::coverage() const {
-    if (wall_ns == 0) {
-        return 0.0;
-    }
-    std::uint64_t accounted = 0;
-    for (const std::uint64_t ns : phase_ns) {
-        accounted += ns;
-    }
-    return static_cast<double>(accounted) / static_cast<double>(wall_ns);
-}
-
 std::uint64_t HostProfile::total_ns() const {
     std::uint64_t total = 0;
-    for (const HostProfileShard& s : shards) {
-        for (const std::uint64_t ns : s.phase_ns) {
-            total += ns;
-        }
+    for (const std::uint64_t ns : phase_ns) {
+        total += ns;
     }
     return total;
 }
 
-std::uint64_t HostProfile::total_wall_ns() const {
-    std::uint64_t total = 0;
-    for (const HostProfileShard& s : shards) {
-        total += s.wall_ns;
-    }
-    return total;
+double HostProfile::coverage() const {
+    return wall_ns == 0 ? 0.0
+                        : static_cast<double>(total_ns()) /
+                              static_cast<double>(wall_ns);
 }
 
 std::string HostProfile::table(std::size_t top) const {
@@ -89,14 +73,14 @@ std::string HostProfile::table(std::size_t top) const {
     const double total = static_cast<double>(total_ns());
     std::string out;
     char line[160];
-    std::snprintf(line, sizeof line, "%-8s %-12s %-18s %12s %7s %12s\n",
-                  "shard", "component", "phase", "self ms", "%", "calls");
+    std::snprintf(line, sizeof line, "%-12s %-18s %12s %7s %12s\n",
+                  "component", "phase", "self ms", "%", "calls");
     out += line;
     const std::size_t n = std::min(top, by_time.size());
     for (std::size_t i = 0; i < n; ++i) {
         const HostProfileEntry& e = *by_time[i];
         std::snprintf(line, sizeof line,
-                      "%-8u %-12s %-18s %12.3f %6.1f%% %12llu\n", e.shard,
+                      "%-12s %-18s %12.3f %6.1f%% %12llu\n",
                       e.component.c_str(), prof_phase_name(e.phase),
                       static_cast<double>(e.ns) / 1e6,
                       total > 0.0
@@ -110,39 +94,29 @@ std::string HostProfile::table(std::size_t top) const {
                       by_time.size() - n);
         out += line;
     }
-    for (const HostProfileShard& s : shards) {
-        std::uint64_t accounted = 0;
-        for (const std::uint64_t ns : s.phase_ns) {
-            accounted += ns;
-        }
-        std::snprintf(line, sizeof line,
-                      "%s: %.3f ms accounted of %.3f ms wall "
-                      "(coverage %.1f%%)\n",
-                      s.name.c_str(), static_cast<double>(accounted) / 1e6,
-                      static_cast<double>(s.wall_ns) / 1e6,
-                      100.0 * s.coverage());
-        out += line;
-    }
+    std::snprintf(line, sizeof line,
+                  "%.3f ms accounted of %.3f ms wall (coverage %.1f%%)\n",
+                  total / 1e6, static_cast<double>(wall_ns) / 1e6,
+                  100.0 * coverage());
+    out += line;
     return out;
 }
 
 void merge_prof_buffer(HostProfile& out, const ProfBuffer& buf,
                        const std::vector<std::string>& component_names) {
     out.enabled = true;
-    HostProfileShard rollup;
-    rollup.name = "shard0";
-    rollup.wall_ns = buf.wall_ns();
-    rollup.samples = buf.snapshots();
+    out.wall_ns = buf.wall_ns();
+    out.samples = buf.snapshots();
     const auto& rows = buf.rows();
     for (std::size_t r = 0; r < rows.size(); ++r) {
         for (std::size_t p = 0; p < kNumProfPhases; ++p) {
             const ProfAcc& a = rows[r][p];
-            rollup.phase_ns[p] += a.ns;
+            out.phase_ns[p] += a.ns;
             if (a.ns == 0 && a.calls == 0) {
                 continue;
             }
             HostProfileEntry e;
-            e.component = r == ProfBuffer::kShardSlot
+            e.component = r == ProfBuffer::kLoopSlot
                               ? "-"
                               : component_names[r - 1];
             e.phase = static_cast<ProfPhase>(p);
@@ -151,7 +125,6 @@ void merge_prof_buffer(HostProfile& out, const ProfBuffer& buf,
             out.entries.push_back(std::move(e));
         }
     }
-    out.shards.push_back(std::move(rollup));
 }
 
 }  // namespace dta::sim

@@ -19,9 +19,6 @@
 ///     enclosing scope so phase totals add up — they sum to the run's
 ///     measured wall clock minus loop control, which the coverage figure
 ///     reports honestly.
-///
-/// The reports keep the historical "shard" vocabulary: the run loop is
-/// reported as the single row `shard0` (see HostProfile).
 #pragma once
 
 #include <array>
@@ -38,8 +35,7 @@ namespace dta::sim {
 /// the rest describe the run loop itself and land on the loop row.
 enum class ProfPhase : std::uint8_t {
     kTick,             ///< inside a Component::tick call
-    kNextActivity,     ///< the loop tail: no-progress check, next-due jump
-    kQuiescence,       ///< the per-cycle quiescence sweep
+    kNextActivity,     ///< loop tail: end/no-progress checks, next-due jump
     kFastforwardScan,  ///< skipped-span replay and the final skip() catch-up
     kAudit,            ///< invariant audit sweeps
     kSample,           ///< gauge sampling / metrics snapshots
@@ -82,7 +78,8 @@ class ProfScope;
 /// only the thread running the machine may touch it mid-run.
 class ProfBuffer {
 public:
-    static constexpr std::uint32_t kShardSlot = 0;
+    /// The run loop's row.
+    static constexpr std::uint32_t kLoopSlot = 0;
 
     ProfBuffer() = default;
     ProfBuffer(const ProfBuffer&) = delete;
@@ -198,47 +195,40 @@ private:
 // Merged result (travels inside RunResult)
 // ---------------------------------------------------------------------------
 
-/// One (shard, component, phase) line of the profile.  The shard index is
-/// always 0 (the run loop's single row).
+/// One (component, phase) line of the profile.
 struct HostProfileEntry {
-    std::uint32_t shard = 0;
     std::string component;  ///< "-" for loop phases
     ProfPhase phase = ProfPhase::kTick;
     std::uint64_t ns = 0;
     std::uint64_t calls = 0;
 };
 
-/// The run loop's rollup (named "shard0" in reports): wall clock,
-/// per-phase totals, and the sampled series.
-struct HostProfileShard {
-    std::string name;
+/// A finished run's host-side profile (empty / disabled by default): the
+/// measured wall clock, per-phase totals, the sampled series and the
+/// per-(component, phase) lines.
+struct HostProfile {
+    bool enabled = false;
     std::uint64_t wall_ns = 0;
     std::array<std::uint64_t, kNumProfPhases> phase_ns{};
     std::vector<ProfSnapshot> samples;
-
-    /// Fraction of the measured wall clock the phase accumulators explain.
-    [[nodiscard]] double coverage() const;
-};
-
-/// A finished run's host-side profile (empty / disabled by default).
-struct HostProfile {
-    bool enabled = false;
-    std::vector<HostProfileShard> shards;  ///< one row, "shard0", when enabled
-    /// Per-(shard, component, phase) lines with ns > 0, sorted by
-    /// (shard, component, phase) — a deterministic order for reports.
+    /// Per-(component, phase) lines with ns or calls > 0: the loop's
+    /// phases, then each component in scheduler order — a deterministic
+    /// order for reports.
     std::vector<HostProfileEntry> entries;
 
     [[nodiscard]] std::uint64_t total_ns() const;
-    [[nodiscard]] std::uint64_t total_wall_ns() const;
+    /// Alias of wall_ns kept for perfbench (ROADMAP, stale leftovers).
+    [[nodiscard]] std::uint64_t total_wall_ns() const { return wall_ns; }
+    /// Fraction of the measured wall clock the phase accumulators explain.
+    [[nodiscard]] double coverage() const;
 
     /// Formats the sorted self-time table `dta_run --prof` prints: entries
     /// by descending ns (top \p top rows), then the coverage line.
     [[nodiscard]] std::string table(std::size_t top = 30) const;
 };
 
-/// Folds the run's buffer into \p out as the row "shard0".
-/// \p component_names must align with the buffer's component rows (row
-/// i + 1 = name i).
+/// Folds the run's buffer into \p out.  \p component_names must align
+/// with the buffer's component rows (row i + 1 = name i).
 void merge_prof_buffer(HostProfile& out, const ProfBuffer& buf,
                        const std::vector<std::string>& component_names);
 

@@ -44,7 +44,7 @@ void WheelScheduler::wake(std::uint32_t component) {
         return;  // already scheduled at least that early
     }
     ++stats_.wakes;
-    const ProfScope prof(pb_, ProfBuffer::kShardSlot,
+    const ProfScope prof(pb_, ProfBuffer::kLoopSlot,
                          ProfPhase::kWheelInsert);
     if (due == kIdleForever) {
         ++armed_;
@@ -77,7 +77,7 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
             continue;
         }
         if (pb != nullptr) {
-            prof_charge(pb, t, ProfBuffer::kShardSlot, ProfPhase::kWheelPop);
+            prof_charge(pb, t, ProfBuffer::kLoopSlot, ProfPhase::kWheelPop);
         }
         cursor_ = i;
         Component* const c = comps_[i];
@@ -100,7 +100,7 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
         ++ticked;
     }
     if (pb != nullptr) {
-        prof_charge(pb, t, ProfBuffer::kShardSlot, ProfPhase::kWheelPop);
+        prof_charge(pb, t, ProfBuffer::kLoopSlot, ProfPhase::kWheelPop);
     }
     next_ = std::min(next_, next);
     cursor_ = kNoCursor;

@@ -28,9 +28,10 @@
 ///
 /// The per-cycle reference (MachineConfig::use_wheel = false) is a policy
 /// of the same scheduler, not a second loop: the machine calls arm_all(at
-/// + 1) after every pass, so every component is due every cycle, ticked in
-/// list order, and no horizon decides a visit.  The differential tests
-/// and dta_fuzz compare the two policies byte for byte.
+/// + 1) after every pass that leaves it non-quiescent, so every component
+/// is due every cycle, ticked in list order, and no horizon decides a
+/// visit.  The differential tests and dta_fuzz compare the two policies
+/// byte for byte.
 ///
 /// The pass costs O(components) per active cycle: about a dozen on the
 /// paper's shape, 45 on the largest tested one (4 nodes x 8 SPEs).
@@ -69,7 +70,6 @@ struct WheelStats {
     /// machine's gauge cadence.
     struct Sample {
         Cycle cycle = 0;
-        std::uint32_t shard = 0;  ///< always 0 (trace track "shard0/...")
         std::uint64_t occupancy = 0;  ///< components armed (finite due)
         std::uint64_t pops = 0;       ///< cumulative pops at this cycle
         std::uint64_t inserts = 0;    ///< cumulative inserts at this cycle
@@ -97,19 +97,28 @@ public:
     void start(Cycle now);
 
     /// Arms every component at cycle \p at (between cycles).  Called after
-    /// every run_cycle, it is the per-cycle reference policy.
+    /// every run_cycle that leaves the machine non-quiescent, it is the
+    /// per-cycle reference policy.
     void arm_all(Cycle at);
 
     [[nodiscard]] bool started() const { return started_; }
 
     /// No component is armed at any finite cycle: every horizon came back
-    /// kIdleForever.  On a non-quiescent machine this is a certain
-    /// (idle-forever) deadlock.
+    /// kIdleForever.  The run loop ends on this, not on a quiescence
+    /// sweep: the horizon rule (sim/component.hpp) makes every horizon idle
+    /// once the machine is quiescent, so idle() is then a quiescent machine
+    /// (the run is done) or a certain idle-forever deadlock.
     [[nodiscard]] bool idle() const { return armed_ == 0; }
 
-    /// Components currently armed at a finite cycle (the live-telemetry
-    /// occupancy feed; same counter the sample() series records).
+    /// Components currently armed at a finite cycle: kept exact by every
+    /// arm, re-arm and wake, so the end-of-run test reads it instead of
+    /// asking every component.  Also the live-telemetry occupancy feed and
+    /// the counter the sample() series records.
     [[nodiscard]] std::uint64_t armed() const { return armed_; }
+
+    /// Component \p i's next visit (kIdleForever = unarmed), read-only:
+    /// names the components a horizon still holds armed in diagnostics.
+    [[nodiscard]] Cycle due(std::uint32_t i) const { return due_[i]; }
 
     /// Earliest cycle at which any component is due, exactly (kIdleForever
     /// when idle()).  Valid between cycles.
@@ -142,8 +151,7 @@ public:
     [[nodiscard]] const WheelStats& stats() const { return stats_; }
     /// Appends one Perfetto counter-track point (gauge cadence).
     void sample(Cycle now) {
-        stats_.samples.push_back(
-            {now, 0, armed_, stats_.pops, stats_.inserts});
+        stats_.samples.push_back({now, armed_, stats_.pops, stats_.inserts});
     }
 
 private:

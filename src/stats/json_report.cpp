@@ -190,27 +190,20 @@ std::string run_report_json(const core::RunResult& r,
     // minus this section is byte-identical to a prof-off one — the
     // neutrality guarantee tests pin down).
     if (r.host_profile.enabled) {
-        os << "  \"host_profile\": {\n    \"shards\": [";
-        first = true;
-        for (const sim::HostProfileShard& s : r.host_profile.shards) {
-            os << (first ? "\n" : ",\n") << "      {\"name\": \""
-               << json_escape(s.name) << "\", \"wall_ns\": " << s.wall_ns
-               << ", \"coverage\": " << num(s.coverage()) << ", \"phases\": {";
-            bool pfirst = true;
-            for (std::size_t p = 0; p < sim::kNumProfPhases; ++p) {
-                os << (pfirst ? "" : ", ") << '"'
-                   << sim::prof_phase_name(static_cast<sim::ProfPhase>(p))
-                   << "\": " << s.phase_ns[p];
-                pfirst = false;
-            }
-            os << "}}";
-            first = false;
+        const sim::HostProfile& hp = r.host_profile;
+        os << "  \"host_profile\": {\n    \"wall_ns\": " << hp.wall_ns
+           << ",\n    \"coverage\": " << num(hp.coverage())
+           << ",\n    \"phases\": {";
+        for (std::size_t p = 0; p < sim::kNumProfPhases; ++p) {
+            os << (p == 0 ? "" : ", ") << '"'
+               << sim::prof_phase_name(static_cast<sim::ProfPhase>(p))
+               << "\": " << hp.phase_ns[p];
         }
-        os << (first ? "" : "\n    ") << "],\n    \"entries\": [";
+        os << "},\n    \"entries\": [";
         first = true;
-        for (const sim::HostProfileEntry& e : r.host_profile.entries) {
-            os << (first ? "\n" : ",\n") << "      {\"shard\": " << e.shard
-               << ", \"component\": \"" << json_escape(e.component)
+        for (const sim::HostProfileEntry& e : hp.entries) {
+            os << (first ? "\n" : ",\n") << "      {\"component\": \""
+               << json_escape(e.component)
                << "\", \"phase\": \"" << sim::prof_phase_name(e.phase)
                << "\", \"ns\": " << e.ns << ", \"calls\": " << e.calls << "}";
             first = false;

@@ -291,6 +291,31 @@ TEST(Machine, DeadlockDetectedWhenFramesExhausted) {
     }
 }
 
+TEST(Machine, RunEndsAtStopAfterLateWorkPastFfree) {
+    // The entry thread frees its frame and then computes long enough for
+    // the free to reach the DSE before STOP, so the machine is quiescent at
+    // STOP's cycle with the PE's next dispatch request not yet posted.  The
+    // run ends there under both policies: the idle PE posts no request and
+    // is charged no idle cycle (cycle count as before the run loop ended on
+    // the armed count).
+    isa::Program prog;
+    isa::CodeBuilder b("main", 0);
+    b.block(CodeBlock::kPs).ffree();
+    for (int i = 0; i < 20; ++i) {
+        b.addi(r(1), r(1), 1);
+    }
+    b.stop();
+    prog.entry = prog.add(std::move(b).build());
+    for (const bool use_wheel : {true, false}) {
+        auto cfg = tiny_config(1);
+        cfg.use_wheel = use_wheel;
+        const auto out = test::run_program(prog, cfg);
+        EXPECT_EQ(out.result.cycles, 29u) << "use_wheel " << use_wheel;
+        EXPECT_EQ(out.result.pes[0].breakdown[CycleBucket::kIdle], 0u)
+            << "use_wheel " << use_wheel;
+    }
+}
+
 TEST(Machine, TelemetryWatchdogFlagsInjectedStall) {
     // Same wedged program as above, but with the telemetry watchdog armed
     // at a cadence well inside the no-progress limit: the watchdog must

@@ -247,35 +247,32 @@ TEST(ChromeTrace, FlowAndAsyncEventsBalance) {
 TEST(ChromeTrace, HostProfileTracksWhenEnabled) {
     sim::HostProfile host;
     host.enabled = true;
-    sim::HostProfileShard sh;
-    sh.name = "shard0";
-    sh.wall_ns = 1000;
+    host.wall_ns = 1000;
     const auto tick = static_cast<std::size_t>(sim::ProfPhase::kTick);
-    sh.phase_ns[tick] = 700;
+    host.phase_ns[tick] = 700;
     sim::ProfSnapshot s0;
     s0.cycle = 0;
     s0.ns[tick] = 300;
     sim::ProfSnapshot s1;
     s1.cycle = 256;
     s1.ns[tick] = 700;
-    sh.samples = {s0, s1};
-    host.shards.push_back(sh);
+    host.samples = {s0, s1};
 
     sim::MetricsRegistry reg;
     const std::string json =
         chrome_trace_json({}, {}, reg, {}, {}, host);
     EXPECT_TRUE(stats::validate_json(json));
-    // The host process track exists, named per (shard, phase), and each
-    // sample plots the delta since the previous snapshot.
+    // The host process track exists, named per phase, and each sample
+    // plots the delta since the previous snapshot.
     EXPECT_NE(json.find(R"({"name": "host"})"), std::string::npos);
-    EXPECT_NE(json.find(R"j("name": "shard0/tick (ns)", "cat": "host", )j"
+    EXPECT_NE(json.find(R"j("name": "tick (ns)", "cat": "host", )j"
                         R"("ph": "C", "ts": 0, "pid": 3, )"
                         R"("args": {"value": 300})"),
               std::string::npos);
     EXPECT_NE(json.find(R"("ts": 256, "pid": 3, "args": {"value": 400})"),
               std::string::npos);
     // Phases the run never touched get no track.
-    EXPECT_EQ(json.find("quiescence"), std::string::npos);
+    EXPECT_EQ(json.find("audit"), std::string::npos);
 }
 
 TEST(ChromeTrace, DisabledHostProfileMatchesFlowVariant) {

@@ -54,21 +54,19 @@ void expect_same_fingerprint(const Fingerprint& off, const Fingerprint& on) {
     EXPECT_EQ(off.res.dma_spans.size(), on.res.dma_spans.size());
 }
 
-/// The profile must exist as the single "shard0" row, cover (nearly) all
-/// of the run's wall clock, and time every phase family the run loop
-/// exercises.  The chained charging in the run loops leaves no
-/// un-attributed gaps; the 0.9 coverage floor leaves headroom only for a
-/// preemption landing between two chain links.
+/// The profile must exist, cover (nearly) all of the run's wall clock,
+/// and time every phase family the run loop exercises.  The chained
+/// charging in the run loops leaves no un-attributed gaps; the 0.9
+/// coverage floor leaves headroom only for a preemption landing between
+/// two chain links.
 void expect_profile_sane(const sim::HostProfile& host) {
     ASSERT_TRUE(host.enabled);
-    ASSERT_EQ(host.shards.size(), 1u);
-    const sim::HostProfileShard& s = host.shards[0];
-    EXPECT_EQ(s.name, "shard0");
     EXPECT_FALSE(host.entries.empty());
-    EXPECT_GT(s.wall_ns, 0u);
-    EXPECT_GT(s.coverage(), 0.9);
-    EXPECT_LE(s.coverage(), 1.05);  // cannot over-account
-    EXPECT_GT(s.phase_ns[static_cast<std::size_t>(sim::ProfPhase::kTick)], 0u);
+    EXPECT_GT(host.wall_ns, 0u);
+    EXPECT_GT(host.coverage(), 0.9);
+    EXPECT_LE(host.coverage(), 1.05);  // cannot over-account
+    EXPECT_GT(host.phase_ns[static_cast<std::size_t>(sim::ProfPhase::kTick)],
+              0u);
 }
 
 template <typename Workload>

@@ -122,5 +122,27 @@ TEST(Dse, GrantCarriesCodeAndSc) {
     EXPECT_EQ(FallocCtx::unpack(msg.c).rd, 9);
 }
 
+// The horizon tick() returns: the run ends only once every horizon is
+// kIdleForever, so an idle DSE must say so, and a grant waiting for the
+// router keeps it one cycle out (sim/component.hpp, rule 1).
+TEST(Dse, HorizonFollowsTheOutbox) {
+    const Topology topo{1, 2};
+    Dse dse(topo, 0, 1);
+    EXPECT_EQ(dse.tick(0), sim::kIdleForever);
+
+    noc::Packet pkt;
+    pkt.kind = static_cast<std::uint16_t>(MsgKind::kFallocReq);
+    pkt.c = ctx_from(0, 0).pack();
+    dse.rx_port().push(pkt);
+    EXPECT_EQ(dse.tick(1), 2u);  // the grant waits in the outbox
+    EXPECT_EQ(dse.tick(2), 3u);  // still undrained: retry next cycle
+
+    SchedMsg msg;
+    ASSERT_TRUE(dse.pop_outgoing(msg));
+    EXPECT_EQ(msg.kind, MsgKind::kFallocFwd);
+    EXPECT_EQ(dse.tick(3), sim::kIdleForever);
+    EXPECT_TRUE(dse.quiescent());
+}
+
 }  // namespace
 }  // namespace dta::sched

@@ -3,16 +3,18 @@
 // assuming no new external input — kIdleForever when the part only waits on
 // someone else.  The due-array scheduler relies on these answers being
 // exact, so each state of the leaf timing models is pinned here: the
-// Interconnect, a scheduled component, through the horizon tick() returns;
-// MainMemory, Link and Mfc, which their owners tick and then query, through
-// next_activity().
+// Interconnect and MemInterface, scheduled components, through the horizon
+// tick() returns; MainMemory, Link and Mfc, which their owners tick and then
+// query, through next_activity().
 #include <gtest/gtest.h>
 
+#include "core/mem_interface.hpp"
 #include "dma/mfc.hpp"
 #include "mem/local_store.hpp"
 #include "mem/main_memory.hpp"
 #include "noc/interconnect.hpp"
 #include "noc/link.hpp"
+#include "sched/messages.hpp"
 #include "sim/types.hpp"
 
 namespace dta {
@@ -64,6 +66,34 @@ TEST(MainMemoryHorizon, SecondRequestWaitsForBankBusy) {
     // The queued second request starts when the port frees — before the
     // in-flight first retires (150 cycles out).
     EXPECT_EQ(m.next_activity(1), 1u + m.config().bank_busy);
+}
+
+// ---- MemInterface over MainMemory (Table 2 defaults) -----------------------
+
+TEST(MemInterfaceHorizon, FollowsReadLifetime) {
+    mem::MainMemory m{mem::MainMemoryConfig{}};
+    core::MemInterface memif{m};
+    EXPECT_EQ(memif.tick(0), sim::kIdleForever);
+
+    noc::Packet req;
+    req.kind = static_cast<std::uint16_t>(sched::MsgKind::kMemReadReq);
+    req.a = 0x100;
+    req.b = sched::GlobalEndpoint{0, 3}.pack();
+    memif.rx_port().push(req);
+    // Decoded and started this tick: memory's horizon is the retirement.
+    const sim::Cycle done = 1 + m.config().latency;
+    EXPECT_EQ(memif.tick(1), done);
+
+    // Retired and packaged: the response waits for the router.
+    EXPECT_EQ(memif.tick(done), done + 1);
+    EXPECT_EQ(memif.tick(done + 1), done + 2);
+
+    noc::Packet resp;
+    ASSERT_TRUE(memif.tx_port().pop(resp));
+    EXPECT_EQ(resp.kind,
+              static_cast<std::uint16_t>(sched::MsgKind::kMemReadResp));
+    EXPECT_EQ(memif.tick(done + 2), sim::kIdleForever);
+    EXPECT_TRUE(memif.quiescent());
 }
 
 // ---- Interconnect: Table 4 defaults (4 buses x 8 B, hop latency 5) ---------

@@ -16,16 +16,16 @@ ProfPhase tick() { return ProfPhase::kTick; }
 TEST(ProfBuffer, AddAccumulatesNsAndCalls) {
     ProfBuffer b;
     b.reset(2);
-    b.add(0, ProfPhase::kQuiescence, 100);
+    b.add(0, ProfPhase::kAudit, 100);
     b.add(1, tick(), 40);
     b.add(1, tick(), 60, 2);
-    EXPECT_EQ(b.rows().size(), 3u);  // shard row + 2 components
+    EXPECT_EQ(b.rows().size(), 3u);  // loop row + 2 components
     const auto& acc =
         b.rows()[1][static_cast<std::size_t>(ProfPhase::kTick)];
     EXPECT_EQ(acc.ns, 100u);
     EXPECT_EQ(acc.calls, 3u);
     EXPECT_EQ(b.phase_ns(tick()), 100u);
-    EXPECT_EQ(b.phase_ns(ProfPhase::kQuiescence), 100u);
+    EXPECT_EQ(b.phase_ns(ProfPhase::kAudit), 100u);
     EXPECT_EQ(b.total_ns(), 200u);
 }
 
@@ -57,8 +57,8 @@ TEST(ProfScope, NestedChildTimeIsExcludedFromParent) {
     b.reset(2);
     std::uint64_t child_ns = 0;
     {
-        ProfScope outer(&b, ProfBuffer::kShardSlot,
-                        ProfPhase::kQuiescence);
+        ProfScope outer(&b, ProfBuffer::kLoopSlot,
+                        ProfPhase::kFastforwardScan);
         {
             ProfScope inner(&b, 1, tick());
             volatile std::uint64_t sink = 0;
@@ -69,7 +69,7 @@ TEST(ProfScope, NestedChildTimeIsExcludedFromParent) {
         child_ns = b.rows()[1][static_cast<std::size_t>(tick())].ns;
     }
     const std::uint64_t outer_self =
-        b.rows()[0][static_cast<std::size_t>(ProfPhase::kQuiescence)].ns;
+        b.rows()[0][static_cast<std::size_t>(ProfPhase::kFastforwardScan)].ns;
     EXPECT_GT(child_ns, 0u);
     // Exclusive attribution: the parent's self time does not re-count the
     // child's duration, so the sum of the two is the true elapsed span —
@@ -136,7 +136,7 @@ TEST(PhaseNames, AreStableAndDistinct) {
 TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
     ProfBuffer b;
     b.reset(2);
-    b.add(ProfBuffer::kShardSlot, ProfPhase::kNextActivity, 200, 4);
+    b.add(ProfBuffer::kLoopSlot, ProfPhase::kNextActivity, 200, 4);
     b.add(1, tick(), 600, 10);
     // Component 2 (row 2) stays all-zero: it must not produce entries.
     b.set_wall_ns(1000);
@@ -146,21 +146,18 @@ TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
     merge_prof_buffer(out, b, {"pe0", "pe1"});
     out.enabled = true;
 
-    ASSERT_EQ(out.shards.size(), 1u);
-    const HostProfileShard& sh = out.shards[0];
-    EXPECT_EQ(sh.name, "shard0");
-    EXPECT_EQ(sh.wall_ns, 1000u);
-    EXPECT_EQ(sh.phase_ns[static_cast<std::size_t>(tick())], 600u);
-    ASSERT_EQ(sh.samples.size(), 1u);
-    EXPECT_DOUBLE_EQ(sh.coverage(), 0.8);  // (200 + 600) / 1000
+    EXPECT_EQ(out.wall_ns, 1000u);
+    EXPECT_EQ(out.phase_ns[static_cast<std::size_t>(tick())], 600u);
+    ASSERT_EQ(out.samples.size(), 1u);
+    EXPECT_DOUBLE_EQ(out.coverage(), 0.8);  // (200 + 600) / 1000
 
     ASSERT_EQ(out.entries.size(), 2u);
-    // Loop phases report component "-", and every entry is shard 0.
-    bool saw_shard_row = false;
+    // Loop phases report component "-".
+    bool saw_loop_row = false;
     bool saw_pe0 = false;
     for (const HostProfileEntry& e : out.entries) {
         if (e.component == "-") {
-            saw_shard_row = true;
+            saw_loop_row = true;
             EXPECT_EQ(e.phase, ProfPhase::kNextActivity);
             EXPECT_EQ(e.ns, 200u);
             EXPECT_EQ(e.calls, 4u);
@@ -170,9 +167,8 @@ TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
             EXPECT_EQ(e.ns, 600u);
         }
         EXPECT_NE(e.component, "pe1");  // zero row skipped
-        EXPECT_EQ(e.shard, 0u);
     }
-    EXPECT_TRUE(saw_shard_row);
+    EXPECT_TRUE(saw_loop_row);
     EXPECT_TRUE(saw_pe0);
     EXPECT_EQ(out.total_ns(), 800u);
     EXPECT_EQ(out.total_wall_ns(), 1000u);
