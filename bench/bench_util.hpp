@@ -24,18 +24,11 @@ namespace dta::bench {
 
 /// Paper-scale workload parameters (Section 4.2).
 inline workloads::MatMul::Params mmul_params(std::uint16_t spes) {
-    workloads::MatMul::Params p;
-    p.n = 32;
-    p.threads = workloads::MatMul::threads_for(spes);
-    return p;
+    return workloads::MatMul::preset(true, spes);
 }
 
 inline workloads::Zoom::Params zoom_params(std::uint16_t spes) {
-    workloads::Zoom::Params p;
-    p.n = 32;
-    p.factor = 8;
-    p.threads = workloads::Zoom::threads_for(spes);
-    return p;
+    return workloads::Zoom::preset(true, spes);
 }
 
 inline workloads::BitCount::Params bitcnt_params(std::uint32_t iterations) {

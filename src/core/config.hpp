@@ -76,13 +76,10 @@ struct MachineConfig {
     /// and scheduling analysis).  Off by default: long runs produce many
     /// spans.
     bool capture_spans = false;
-    /// Collect run-wide metrics (latency histograms, sampled gauges, DMA
-    /// spans) into RunResult::metrics.  Off by default; when off the
-    /// instrumented hot paths cost a single null check each.
+    /// Collect run-wide metrics (latency histograms, gauges sampled every
+    /// 256 cycles, DMA spans) into RunResult::metrics.  Off by default;
+    /// when off the instrumented hot paths cost a single null check each.
     bool collect_metrics = false;
-    /// Cycles between gauge samples (queue depths, in-flight counts) when
-    /// collect_metrics is on.  Must be non-zero.
-    std::uint32_t metrics_sample_interval = 256;
     /// Record the thread-lifecycle event log (sim/events.hpp) into
     /// RunResult::events for offline critical-path analysis.  Off by
     /// default; when off each instrumented site costs one null check.
@@ -97,7 +94,7 @@ struct MachineConfig {
     /// Live telemetry (sim/telemetry.hpp): periodic machine-wide occupancy
     /// frames into RunResult::telemetry (+ an optional NDJSON stream for
     /// tools/dta_top, + the progress/stall watchdog).  Off by default; when
-    /// off the run loop pays one null check per cycle.  An observer knob:
+    /// off the run loop pays one compare per span.  An observer knob:
     /// excluded from the structural config echo / snapshot fingerprint, so
     /// a snapshot may be replayed with telemetry turned on.
     sim::TelemetryConfig telemetry;

@@ -183,8 +183,7 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     }
 
     if (cfg_.collect_metrics) {
-        DTA_SIM_REQUIRE(cfg_.metrics_sample_interval > 0,
-                        "metrics_sample_interval must be non-zero");
+        gauges_.every = kGaugeEvery;
         metrics_.enable();
         for (auto& pe : pes_) {
             pe->attach_metrics(metrics_, &dma_spans_);
@@ -204,16 +203,17 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     }
 
     if (cfg_.audit.enabled) {
-        audit_interval_ = cfg_.audit.effective_interval();
+        audits_.every = cfg_.audit.effective_interval();
         // The auditor carries every per-component check plus the final
-        // quiescence checks; the run loop sweeps it at audit_interval_ and
-        // run the final checks once at the end.
+        // quiescence checks; the run loop sweeps it on audits_ and runs
+        // the final checks once at the end.
         register_audit_checks();
         register_final_checks();
     }
 
     if (cfg_.telemetry.enabled) {
         telemetry_ = std::make_unique<sim::TelemetrySampler>(cfg_.telemetry);
+        frames_.every = cfg_.telemetry.interval;
         telemetry_->set_stall_info([this](sim::TelemetryStall& s) {
             s.components = non_quiescent_names();
             if (!last_ckpt_path_.empty()) {
@@ -421,42 +421,6 @@ void save_instruction(sim::StateSink& s, const isa::Instruction& ins) {
     }
 }
 
-void save_thread_span(sim::StateSink& s, const ThreadSpan& t) {
-    s.u32(t.pe);
-    s.u64(t.begin);
-    s.u64(t.end);
-    s.u32(t.code);
-    s.u32(t.slot);
-    s.flag(t.resumed);
-}
-
-void load_thread_span(sim::StateSource& s, ThreadSpan& t) {
-    t.pe = s.u32();
-    t.begin = s.u64();
-    t.end = s.u64();
-    t.code = s.u32();
-    t.slot = s.u32();
-    t.resumed = s.flag();
-}
-
-void save_dma_span(sim::StateSink& s, const dma::DmaSpan& d) {
-    s.u32(d.pe);
-    s.u32(d.tag);
-    s.u8(static_cast<std::uint8_t>(d.op));
-    s.u32(d.bytes);
-    s.u64(d.begin);
-    s.u64(d.end);
-}
-
-void load_dma_span(sim::StateSource& s, dma::DmaSpan& d) {
-    d.pe = s.u32();
-    d.tag = s.u32();
-    d.op = static_cast<dma::MfcOp>(s.u8());
-    d.bytes = s.u32();
-    d.begin = s.u64();
-    d.end = s.u64();
-}
-
 /// Comma-separated names of the components whose index \p pick selects.
 template <typename Pick>
 std::string names_where(const std::vector<sim::Component*>& comps,
@@ -526,7 +490,6 @@ void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
     s.u64(cfg.no_progress_limit);
     s.flag(cfg.capture_spans);
     s.flag(cfg.collect_metrics);
-    s.u32(cfg.metrics_sample_interval);
     s.flag(cfg.collect_events);
     // Program digest: a snapshot must never be resumed under a different
     // program (thread state embeds instruction pointers).
@@ -550,20 +513,14 @@ std::uint64_t structural_fingerprint(const MachineConfig& cfg,
     return sim::fnv1a64(s.data().data(), s.size());
 }
 
-void Machine::config_echo(sim::StateSink& s) const {
-    structural_config_echo(s, cfg_, prog_);
-}
-
 std::uint64_t Machine::config_fingerprint() const {
-    sim::StateSink s;
-    config_echo(s);
-    return sim::fnv1a64(s.data().data(), s.size());
+    return structural_fingerprint(cfg_, prog_);
 }
 
 void Machine::save_snapshot_file(sim::Cycle cycle,
                                  const std::string& path) const {
     sim::SnapshotWriter w(config_fingerprint(), cycle);
-    config_echo(w.section("config"));
+    structural_config_echo(w.section("config"), cfg_, prog_);
     w.section("machine").u64(skipped_);
     mem_.save_state(w.section("mem"));
     for (const sim::Component* c : components_) {
@@ -574,7 +531,7 @@ void Machine::save_snapshot_file(sim::Cycle cycle,
     }
     sim::StateSink& sp = w.section("spans");
     sim::save_seq(sp, spans_, save_thread_span);
-    sim::save_seq(sp, dma_spans_, save_dma_span);
+    sim::save_seq(sp, dma_spans_, dma::save_dma_span);
     events_.save_state(w.section("events"));
     metrics_.save_state(w.section("metrics"));
     w.write(path);
@@ -606,7 +563,7 @@ void Machine::checkpoint(const std::string& path) {
 void Machine::set_checkpoints(sim::Cycle every, std::string prefix) {
     DTA_SIM_REQUIRE(every == 0 || !prefix.empty(),
                     "periodic checkpoints need a path prefix");
-    checkpoint_every_ = every;
+    snapshots_.every = every;
     checkpoint_prefix_ = std::move(prefix);
 }
 
@@ -650,7 +607,7 @@ void Machine::restore(const std::string& path) {
     {
         sim::StateSource sp = reader.section("spans");
         sim::load_seq(sp, spans_, load_thread_span);
-        sim::load_seq(sp, dma_spans_, load_dma_span);
+        sim::load_seq(sp, dma_spans_, dma::load_dma_span);
         sp.finish();
         sim::StateSource ev = reader.section("events");
         events_.load_state(ev);
@@ -672,14 +629,8 @@ void Machine::restore(const std::string& path) {
 }
 
 sim::Cycle Machine::next_cut(sim::Cycle now) const {
-    sim::Cycle cut = sim::kCycleNever;
-    if (checkpoint_every_ != 0) {
-        cut = (now / checkpoint_every_ + 1) * checkpoint_every_;
-    }
-    if (stop_at_ > now) {
-        cut = std::min(cut, stop_at_);
-    }
-    return cut;
+    return stop_at_ > now ? std::min(snapshots_.next, stop_at_)
+                          : snapshots_.next;
 }
 
 RunResult Machine::stop_early(sim::Cycle cycle) {
@@ -698,9 +649,6 @@ RunResult Machine::stop_early(sim::Cycle cycle) {
 using sim::prof_charge;
 
 void Machine::capture_telemetry(sim::Cycle now) {
-    if (telemetry_ == nullptr) {
-        return;
-    }
     sim::TelemetryFrame f;
     f.cycle = now;
     for (const auto& pe : pes_) {
@@ -720,7 +668,6 @@ void Machine::capture_telemetry(sim::Cycle now) {
         f.noc_pending += static_cast<std::uint32_t>(fab.pending());
     }
     f.activity_fp = fingerprint();
-    telemetry_next_ = now + cfg_.telemetry.interval;
     // Host-side tail (NDJSON stream / Perfetto only; never the JSON report).
     f.host_ns = sim::prof_now_ns();
     f.wheel_armed = wheel_.armed();
@@ -750,22 +697,31 @@ void Machine::sample_gauges(sim::Cycle now) {
     wheel_.sample(now);
 }
 
-void Machine::sample_span(sim::Cycle from, sim::Cycle to) {
+void Machine::observe(sim::Cycle from, sim::Cycle to) {
     sim::ProfBuffer* const pb = prof_buffer();
-    if (metrics_.enabled()) {
-        const sim::Cycle step = cfg_.metrics_sample_interval;
-        for (sim::Cycle c = ((from + step - 1) / step) * step; c < to;
-             c += step) {
-            const sim::ProfScope ps(pb, sim::ProfBuffer::kLoopSlot,
-                                    sim::ProfPhase::kSample);
-            sample_gauges(c);
+    for (;;) {
+        const sim::Cycle c = std::min(
+            {gauges_.next, frames_.next, audits_.next, beats_.next});
+        if (c >= to) {
+            return;
         }
-    }
-    if (telemetry_ != nullptr) {
-        while (telemetry_next_ < to) {
-            const sim::ProfScope ps(pb, sim::ProfBuffer::kLoopSlot,
-                                    sim::ProfPhase::kSample);
-            capture_telemetry(telemetry_next_);
+        const sim::ProfScope ps(pb, sim::ProfBuffer::kLoopSlot,
+                                sim::ProfPhase::kSample);
+        if (gauges_.next == c) {
+            sample_gauges(gauges_.take());
+        }
+        if (frames_.next == c) {
+            capture_telemetry(frames_.take());
+        }
+        if (audits_.next == c) {
+            // One sweep covers every audit multiple of the span.
+            const sim::ProfScope pa(pb, sim::ProfBuffer::kLoopSlot,
+                                    sim::ProfPhase::kAudit);
+            auditor_.run(audits_.take_all(to));
+        }
+        if (beats_.next == c) {
+            // Every cycle after `from` in the span is jumped.
+            report_progress(beats_.take(), skipped_ + (c - from));
         }
     }
 }
@@ -834,18 +790,12 @@ void Machine::check_progress(sim::Cycle c, std::uint64_t fp) {
     }
 }
 
-void Machine::replay_span(sim::Cycle from, sim::Cycle to) {
-    const sim::ProfScope prof(prof_buffer(), sim::ProfBuffer::kLoopSlot,
-                              sim::ProfPhase::kFastforwardScan);
-    skipped_ += to - from;
-    sample_span(from, to);
-    // The span's no-progress checkpoints all read the same frozen
-    // fingerprint, so it is computed once.
-    sim::Cycle c = from | 0xfff;
-    if (c < to) {
+void Machine::watch(sim::Cycle to) {
+    if (stalls_.owes(to)) {
+        // No cycle of the span changes the fingerprint.
         const std::uint64_t fp = fingerprint();
-        for (; c < to; c += 0x1000) {
-            check_progress(c, fp);
+        while (stalls_.owes(to)) {
+            check_progress(stalls_.take(), fp);
         }
     }
 }
@@ -854,12 +804,11 @@ RunResult Machine::run() {
     DTA_SIM_REQUIRE(launched_, "run() before launch()");
     DTA_SIM_REQUIRE(!ran_, "run() called twice");
     ran_ = true;
-    if (telemetry_ != nullptr) {
-        // First owed frame: the first interval multiple at or after the
-        // starting cycle (cycle 0 on a fresh run, mirroring `% == 0`).
-        const sim::Cycle step = cfg_.telemetry.interval;
-        telemetry_next_ = ((restore_cycle_ + step - 1) / step) * step;
+    for (sim::Cadence* d : {&gauges_, &frames_, &audits_, &beats_, &stalls_}) {
+        d->start(restore_cycle_);
     }
+    // A restored run does not rewrite the snapshot it resumed from.
+    snapshots_.start(restore_cycle_ + 1);
     sim::ProfBuffer* const pb = prof_buffer();
     const std::uint64_t wall0 = pb != nullptr ? sim::prof_now_ns() : 0;
     // Chained timing boundary: starts at the wall-clock origin so the loop
@@ -872,10 +821,10 @@ RunResult Machine::run() {
     while (now < cfg_.max_cycles) {
         // Checkpoint/stop cuts land at the top of the iteration, before the
         // visits of `now`: all accounting covers exactly [start, now), which
-        // is the state a restore resumes from.
-        if (checkpoint_every_ != 0 && now != restore_cycle_ &&
-            now % checkpoint_every_ == 0) {
-            write_snapshot(now);
+        // is the state a restore resumes from.  next_cut() makes the loop
+        // land on every owed snapshot.
+        if (snapshots_.owes(now + 1)) {
+            write_snapshot(snapshots_.take());
         }
         if (stop_at_ != 0 && now >= stop_at_) {
             if (pb != nullptr) {
@@ -898,29 +847,19 @@ RunResult Machine::run() {
                 wheel_.arm_all(now + 1);
             }
         }
-        sample_span(now, now + 1);
-        if (audit_interval_ != 0 && now % audit_interval_ == 0) {
-            auditor_.run(now);
-            if (pb != nullptr) {
-                prof_charge(pb, t, sim::ProfBuffer::kLoopSlot,
-                            sim::ProfPhase::kAudit);
-            }
-        }
-        if (progress_interval_ != 0) {
-            report_progress(now);
-        }
         // By the end-of-run rule a quiescent machine has nothing armed, so
         // quiescence is asked only once nothing is.
         const bool idle = wheel_.idle();
         if (idle && check_quiescent()) {
+            observe(now, now + 1);
             logger_.log(sim::LogLevel::kInfo, now, "machine",
                         "quiescent; simulation complete");
-            {
-                // Sleepers may still lag behind: apply their deferred skip
-                // bookkeeping so breakdowns cover [0, now + 1) exactly.
-                const sim::ProfScope ff(pb, sim::ProfBuffer::kLoopSlot,
-                                        sim::ProfPhase::kFastforwardScan);
-                wheel_.catch_up(now + 1);
+            // Sleepers may still lag behind: apply their deferred skip
+            // bookkeeping so breakdowns cover [0, now + 1) exactly.
+            wheel_.catch_up(now + 1);
+            if (pb != nullptr) {
+                prof_charge(pb, t, sim::ProfBuffer::kLoopSlot,
+                            sim::ProfPhase::kNextActivity);
             }
             if (cfg_.audit.enabled) {
                 auditor_.run_final(now);
@@ -931,15 +870,20 @@ RunResult Machine::run() {
             }
             return gather(now + 1);
         }
+        // The span [now, next) that this cycle's visits opened, in which
+        // nothing is due (none when they left the machine idle; below).
+        const sim::Cycle next =
+            idle ? now + 1
+                 : std::min(
+                       {wheel_.next_due(), cfg_.max_cycles, next_cut(now)});
+        observe(now, next);
         // No-progress (deadlock) detection.  A live machine issues
         // instructions, delivers packets or completes memory accesses; if
         // the activity fingerprint freezes for longer than any
         // architectural latency, the run is stuck — typically FALLOCs
         // blocking a pipeline while every free-able frame needs that
         // pipeline to finish.
-        if ((now & 0xfff) == 0xfff) {
-            check_progress(now, fingerprint());
-        }
+        watch(next);
         if (idle) {
             // This cycle's visits left every horizon at kIdleForever with
             // the machine still non-quiescent: nothing in flight can ever
@@ -947,11 +891,7 @@ RunResult Machine::run() {
             // would only confirm after no_progress_limit cycles.
             throw_deadlock(now, 0, true);
         }
-        const sim::Cycle next =
-            std::min({wheel_.next_due(), cfg_.max_cycles, next_cut(now)});
-        if (next > now + 1) {
-            replay_span(now + 1, next);
-        }
+        skipped_ += next - now - 1;
         now = next;
         if (pb != nullptr) {
             prof_charge(pb, t, sim::ProfBuffer::kLoopSlot,
@@ -1029,10 +969,7 @@ RunResult Machine::gather(sim::Cycle cycles) const {
     return r;
 }
 
-void Machine::report_progress(sim::Cycle now) {
-    if (!progress_ || progress_interval_ == 0 || now < next_progress_) {
-        return;
-    }
+void Machine::report_progress(sim::Cycle now, sim::Cycle skipped) {
     std::uint64_t live = 0;
     for (const auto& pe : pes_) {
         live += pe->lse().live_frames() + pe->lse().virtual_frames_live();
@@ -1040,8 +977,8 @@ void Machine::report_progress(sim::Cycle now) {
     Progress p;
     p.cycle = now;
     p.live_threads = live;
-    p.ticked = now > skipped_ ? now - skipped_ : 0;
-    p.skipped = skipped_;
+    p.ticked = now > skipped ? now - skipped : 0;
+    p.skipped = skipped;
     if (telemetry_ != nullptr) {
         // Live-telemetry summary from the latest frame, plus the busiest
         // PE: the deepest combined scheduler + DMA queue.
@@ -1061,7 +998,6 @@ void Machine::report_progress(sim::Cycle now) {
         }
     }
     progress_(p);
-    next_progress_ = (now / progress_interval_ + 1) * progress_interval_;
 }
 
 }  // namespace dta::core

@@ -164,11 +164,12 @@ public:
         sim::Cycle sample_cycle = 0;
         std::string busiest;
     };
-    /// Periodic progress callback: invoked at most once per \p interval
-    /// simulated cycles.  Install before run(); null \p fn disables.
+    /// Periodic progress callback: invoked at every multiple of
+    /// \p interval simulated cycles, under either scheduling policy.
+    /// Install before run(); null \p fn or a zero \p interval disables.
     using ProgressFn = std::function<void(const Progress&)>;
     void set_progress(sim::Cycle interval, ProgressFn fn) {
-        progress_interval_ = interval;
+        beats_.every = fn ? interval : 0;
         progress_ = std::move(fn);
     }
 
@@ -246,18 +247,17 @@ public:
 
 private:
     void sample_gauges(sim::Cycle now);
-    /// Gauge samples and telemetry frames owed to cycles [from, to), all of
-    /// which read the machine's current state.
-    void sample_span(sim::Cycle from, sim::Cycle to);
-    /// Replays the per-cycle side effects of the skipped span [from, to)
-    /// — gauge samples, telemetry frames and no-progress checkpoints —
-    /// against the state the last visit left, which no cycle of the span
-    /// changes (the horizon contract).  Component skip() bookkeeping stays
-    /// lazy: the scheduler applies it at each component's next visit.
-    void replay_span(sim::Cycle from, sim::Cycle to);
-    /// One no-progress checkpoint (cycles ending in 0xfff): throws the
-    /// deadlock error once the activity fingerprint \p fp has not changed
-    /// for more than no_progress_limit cycles.
+    /// Serves what the span [from, to) opened by the visits at \p from
+    /// owes: gauge samples, telemetry frames and heartbeats at each owed
+    /// cycle, and one audit sweep labelled with its first owed multiple.
+    /// No cycle of the span changes the state (the horizon contract).
+    void observe(sim::Cycle from, sim::Cycle to);
+    /// Runs the no-progress checkpoints owed before \p to on one
+    /// fingerprint.
+    void watch(sim::Cycle to);
+    /// One no-progress checkpoint: throws the deadlock error once the
+    /// activity fingerprint \p fp has not changed for more than
+    /// no_progress_limit cycles.
     void check_progress(sim::Cycle c, std::uint64_t fp);
     /// Binds the wake hooks of every port a component drains to wheel_,
     /// addressing each consumer by its index in components_.
@@ -284,15 +284,12 @@ private:
     [[nodiscard]] RunResult gather(sim::Cycle cycles) const;
 
     // --- checkpoint/restore internals ------------------------------------
-    /// Serialises the structural config + program digest (the fingerprint
-    /// input and the snapshot's self-description section).
-    void config_echo(sim::StateSink& s) const;
     /// Serialises the whole machine state at \p cycle into \p path.
     void save_snapshot_file(sim::Cycle cycle, const std::string& path) const;
     /// Periodic checkpoint at a run-loop cut (derives the path from the
     /// prefix and records it for last_checkpoint_*).
     void write_snapshot(sim::Cycle cycle);
-    /// Next cycle the run loop must land on exactly (checkpoint multiple or
+    /// Next cycle the run loop must land on exactly (the next snapshot or
     /// stop_at); kCycleNever when neither is armed.  Skipped spans are
     /// clamped to it — result-neutral, skipping is accounting-identical.
     [[nodiscard]] sim::Cycle next_cut(sim::Cycle now) const;
@@ -300,12 +297,11 @@ private:
     /// and gather the partial result (no final quiescence audit).
     [[nodiscard]] RunResult stop_early(sim::Cycle cycle);
 
-    /// Captures one machine-wide telemetry frame at \p now (post-tick
-    /// state).  No-op unless cfg_.telemetry.enabled.  Called from the run
-    /// loop at visited sample cycles, and replayed over skipped spans.
+    /// Captures one machine-wide telemetry frame at \p now (post-tick state).
     void capture_telemetry(sim::Cycle now);
-    /// Fires progress_ if \p now crossed the next reporting threshold.
-    void report_progress(sim::Cycle now);
+    /// Fires progress_ for cycle \p now, \p skipped cycles of the run
+    /// having been jumped by then.
+    void report_progress(sim::Cycle now, sim::Cycle skipped);
     /// The host-time profiler's buffer, or nullptr when profiling is off.
     [[nodiscard]] sim::ProfBuffer* prof_buffer() {
         return cfg_.profile ? &prof_ : nullptr;
@@ -338,6 +334,15 @@ private:
     std::uint64_t watch_fp_ = ~0ull;
     sim::Cycle watch_since_ = 0;
 
+    // The run loop's periodic duties, one clock each (every == 0: off).
+    static constexpr sim::Cycle kGaugeEvery = 256;
+    sim::Cadence gauges_;     ///< gauge samples (collect_metrics)
+    sim::Cadence frames_;     ///< telemetry frames (telemetry.enabled)
+    sim::Cadence audits_;     ///< invariant audit sweeps (audit.enabled)
+    sim::Cadence beats_;      ///< progress heartbeats (set_progress)
+    sim::Cadence stalls_{0x1000, 0xfff};  ///< no-progress checkpoints
+    sim::Cadence snapshots_;  ///< periodic snapshots (set_checkpoints)
+
     std::vector<ThreadSpan> spans_;  ///< filled when cfg_.capture_spans
 
     // event log (live only when cfg_.collect_events)
@@ -345,25 +350,16 @@ private:
 
     // progress reporting (live only when set_progress installed a callback)
     ProgressFn progress_;
-    sim::Cycle progress_interval_ = 0;
-    sim::Cycle next_progress_ = 0;
 
     // invariant audits (live only when cfg_.audit.enabled)
     sim::Auditor auditor_;  ///< machine-wide checks + final checks
-    sim::Cycle audit_interval_ = 0;  ///< 0 = audits off
 
     // host-time profiler (live only when cfg_.profile), sized once at
     // construction — the wheel holds a pointer into it.
     sim::ProfBuffer prof_;
 
-    // live telemetry (live only when cfg_.telemetry.enabled; off = one
-    // null check at the run loop's sample sites)
+    // live telemetry (live only when cfg_.telemetry.enabled)
     std::unique_ptr<sim::TelemetrySampler> telemetry_;
-    // Next cycle owed a telemetry frame (always a multiple of the
-    // interval).  capture_telemetry advances it, so the hot sample sites
-    // test against it instead of a per-cycle 64-bit modulo, and the
-    // skipped-span replay walks it directly with no alignment division.
-    sim::Cycle telemetry_next_ = 0;
 
     // metrics (live only when cfg_.collect_metrics)
     sim::MetricsRegistry metrics_;
@@ -378,7 +374,6 @@ private:
 
     // --- checkpoint/restore state ----------------------------------------
     sim::Cycle restore_cycle_ = 0;      ///< run starts here after restore()
-    sim::Cycle checkpoint_every_ = 0;   ///< 0 = periodic checkpoints off
     std::string checkpoint_prefix_;
     sim::Cycle stop_at_ = 0;            ///< 0 = run to quiescence
     sim::Cycle last_ckpt_cycle_ = 0;

@@ -970,28 +970,6 @@ void Pe::skip(sim::Cycle from, sim::Cycle to) {
     lse_.skip(from, to);
 }
 
-namespace {
-
-void save_span(sim::StateSink& s, const ThreadSpan& t) {
-    s.u32(t.pe);
-    s.u64(t.begin);
-    s.u64(t.end);
-    s.u32(t.code);
-    s.u32(t.slot);
-    s.flag(t.resumed);
-}
-
-void load_span(sim::StateSource& s, ThreadSpan& t) {
-    t.pe = s.u32();
-    t.begin = s.u64();
-    t.end = s.u64();
-    t.code = s.u32();
-    t.slot = s.u32();
-    t.resumed = s.flag();
-}
-
-}  // namespace
-
 void Pe::save_state(sim::StateSink& s) const {
     ls_.save_state(s);
     lse_.save_state(s);
@@ -1039,7 +1017,7 @@ void Pe::save_state(sim::StateSink& s) const {
         sim::save_seq(s, *vec,
                       [](sim::StateSink& k, std::uint64_t v) { k.u64(v); });
     }
-    save_span(s, open_span_);
+    save_thread_span(s, open_span_);
     s.u64(cur_uid_);
     s.u8(static_cast<std::uint8_t>(phase_block_));
 }
@@ -1090,7 +1068,7 @@ void Pe::load_state(sim::StateSource& s) {
         DTA_CHECK_MSG(vec->size() == expect,
                       "snapshot per-code counters do not match the program");
     }
-    load_span(s, open_span_);
+    load_thread_span(s, open_span_);
     cur_uid_ = s.u64();
     phase_block_ = static_cast<std::int8_t>(s.u8());
     // The bound thread-code pointer is wiring into the (identical, by

@@ -2,7 +2,27 @@
 
 #include <sstream>
 
+#include "sim/snapshot.hpp"
+
 namespace dta::core {
+
+void save_thread_span(sim::StateSink& s, const ThreadSpan& t) {
+    s.u32(t.pe);
+    s.u64(t.begin);
+    s.u64(t.end);
+    s.u32(t.code);
+    s.u32(t.slot);
+    s.flag(t.resumed);
+}
+
+void load_thread_span(sim::StateSource& s, ThreadSpan& t) {
+    t.pe = s.u32();
+    t.begin = s.u64();
+    t.end = s.u64();
+    t.code = s.u32();
+    t.slot = s.u32();
+    t.resumed = s.flag();
+}
 
 namespace {
 

@@ -26,6 +26,10 @@ struct ThreadSpan {
     bool resumed = false;         ///< continuation after Wait-for-DMA
 };
 
+/// Snapshot serialisation of one span, field by field.
+void save_thread_span(sim::StateSink& s, const ThreadSpan& t);
+void load_thread_span(sim::StateSource& s, ThreadSpan& t);
+
 /// One dataflow arrow for the Chrome-trace export: from a producer's frame
 /// STORE (inside its PS-phase slice) to the consumer thread's dispatch (the
 /// start of its first slice).  Produced by the critical-path analyzer

@@ -38,6 +38,24 @@ void load_command(sim::StateSource& s, MfcCommand& c) {
 
 }  // namespace
 
+void save_dma_span(sim::StateSink& s, const DmaSpan& d) {
+    s.u32(d.pe);
+    s.u32(d.tag);
+    s.u8(static_cast<std::uint8_t>(d.op));
+    s.u32(d.bytes);
+    s.u64(d.begin);
+    s.u64(d.end);
+}
+
+void load_dma_span(sim::StateSource& s, DmaSpan& d) {
+    d.pe = s.u32();
+    d.tag = s.u32();
+    d.op = static_cast<MfcOp>(s.u8());
+    d.bytes = s.u32();
+    d.begin = s.u64();
+    d.end = s.u64();
+}
+
 Mfc::Mfc(const MfcConfig& cfg, mem::LocalStore& ls) : cfg_(cfg), ls_(ls) {
     DTA_SIM_REQUIRE(cfg.queue_depth > 0, "MFC queue depth must be non-zero");
     DTA_SIM_REQUIRE(cfg.line_bytes > 0 &&

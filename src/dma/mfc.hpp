@@ -89,6 +89,10 @@ struct DmaSpan {
     sim::Cycle end = 0;  ///< exclusive
 };
 
+/// Snapshot serialisation of one span, field by field.
+void save_dma_span(sim::StateSink& s, const DmaSpan& d);
+void load_dma_span(sim::StateSource& s, DmaSpan& d);
+
 /// One SPE's DMA engine, ticked by its PE (not a sim::Component).
 class Mfc {
 public:

@@ -250,10 +250,7 @@ bool prepare_job(const JsonValue& spec, std::uint32_t default_threads,
     }
 
     if (workload == "mmul") {
-        workloads::MatMul::Params p;
-        p.n = paper ? 32 : 16;
-        p.threads =
-            paper ? workloads::MatMul::threads_for(o.spes) : 16;
+        auto p = workloads::MatMul::preset(paper, o.spes);
         if (!get_uint(spec, "n", p.n, error, 1) ||
             !get_uint(spec, "wthreads", p.threads, error, 1) ||
             !get_uint(spec, "unroll", p.unroll, error, 1) ||
@@ -266,10 +263,7 @@ bool prepare_job(const JsonValue& spec, std::uint32_t default_threads,
         out.key = job_key(out.cfg, out.prog, workload, prefetch, p.n,
                           p.threads, p.unroll, 0, p.seed, {});
     } else if (workload == "zoom") {
-        workloads::Zoom::Params p;
-        p.n = paper ? 32 : 16;
-        p.factor = paper ? 8 : 4;
-        p.threads = paper ? workloads::Zoom::threads_for(o.spes) : 16;
+        auto p = workloads::Zoom::preset(paper, o.spes);
         if (!get_uint(spec, "n", p.n, error, 1) ||
             !get_uint(spec, "factor", p.factor, error, 1) ||
             !get_uint(spec, "wthreads", p.threads, error, 1) ||
@@ -283,8 +277,7 @@ bool prepare_job(const JsonValue& spec, std::uint32_t default_threads,
         out.key = job_key(out.cfg, out.prog, workload, prefetch, p.n,
                           p.threads, p.unroll, p.factor, p.seed, {});
     } else if (workload == "bitcnt") {
-        workloads::BitCount::Params p;
-        p.iterations = paper ? 10000 : 1024;
+        auto p = workloads::BitCount::preset(paper);
         if (!get_uint(spec, "iterations", p.iterations, error, 1)) {
             return false;
         }

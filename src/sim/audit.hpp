@@ -30,8 +30,8 @@ namespace dta::sim {
 
 /// Cadence / enablement knobs for the auditor (part of MachineConfig).
 struct AuditConfig {
-    /// Master switch.  Off by default: a disabled auditor costs one branch
-    /// per simulated cycle and nothing else.
+    /// Master switch.  Off by default: a disabled auditor costs one
+    /// compare per span of the run loop and nothing else.
     bool enabled = false;
     /// Cycles between audit sweeps.  0 means auto: every cycle in debug
     /// builds, every 64th cycle in release builds (sampled audits still

@@ -9,7 +9,6 @@ const char* prof_phase_name(ProfPhase p) {
     switch (p) {
         case ProfPhase::kTick: return "tick";
         case ProfPhase::kNextActivity: return "next_activity";
-        case ProfPhase::kFastforwardScan: return "fastforward_scan";
         case ProfPhase::kAudit: return "audit";
         case ProfPhase::kSample: return "sample";
         case ProfPhase::kWheelPop: return "wheel_pop";

@@ -35,10 +35,9 @@ namespace dta::sim {
 /// the rest describe the run loop itself and land on the loop row.
 enum class ProfPhase : std::uint8_t {
     kTick,             ///< inside a Component::tick call
-    kNextActivity,     ///< loop tail: end/no-progress checks, next-due jump
-    kFastforwardScan,  ///< skipped-span replay and the final skip() catch-up
+    kNextActivity,     ///< loop tail, next-due jump, final skip() catch-up
     kAudit,            ///< invariant audit sweeps
-    kSample,           ///< gauge sampling / metrics snapshots
+    kSample,           ///< gauge samples, telemetry frames, heartbeats
     kWheelPop,         ///< the due-array pass, outside its visits
     kWheelInsert,      ///< due-array arms from wakes
     kCount

@@ -10,16 +10,16 @@
 /// every other observer in this tree:
 ///
 ///  * **Off by default.**  With `TelemetryConfig::enabled` false the run
-///    loop pays exactly one null-pointer test per cycle.
+///    loop pays one compare per span.
 ///  * **Pure observer.**  Frames are read-only captures of simulated
 ///    state; results (JSON report, event log, memory image) are
 ///    byte-identical with telemetry on or off
 ///    (tests/integration/telemetry_neutrality_test.cpp).
 ///  * **Deterministic.**  The simulated fields of a frame are sampled at
-///    aligned cycles — post-tick of each visited sample cycle, replayed
-///    over skipped spans (state is frozen there by the horizon contract)
-///    — so the frame sequence is byte-identical under the default
-///    scheduler and the per-cycle reference.  Host-side fields
+///    each multiple of the interval, post-tick, also inside a span the
+///    run loop jumps (state is frozen there by the horizon contract) — so
+///    the frame sequence is byte-identical under the default scheduler
+///    and the per-cycle reference.  Host-side fields
 ///    (wall-clock rate, wheel occupancy) ride only the NDJSON stream, never
 ///    the JSON report, exactly like `RunResult::wheel`.
 ///

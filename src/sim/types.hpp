@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 namespace dta::sim {
 
@@ -16,6 +17,31 @@ inline constexpr Cycle kCycleNever = std::numeric_limits<Cycle>::max();
 
 /// Sentinel horizon: no internally-scheduled activity, ever.
 inline constexpr Cycle kIdleForever = kCycleNever;
+
+/// The clock of one periodic duty: it owes the cycles c >= start with
+/// `c % every == phase` (`every == 0` owes nothing).  A run loop that
+/// jumps over cycles serves each span's owed cycles with take() or
+/// take_all(), so the duty lands on the same cycles either way.
+struct Cadence {
+    Cycle every = 0;
+    Cycle phase = 0;           ///< below every
+    Cycle next = kCycleNever;  ///< first owed cycle
+
+    /// Owes the first cycle on the cadence at or after \p from.
+    void start(Cycle from) {
+        next = every == 0 ? kCycleNever : from - from % every + phase;
+        next += next < from ? every : 0;
+    }
+    [[nodiscard]] bool owes(Cycle to) const { return next < to; }
+    /// Returns the owed cycle and owes the one after it.
+    Cycle take() { return std::exchange(next, next + every); }
+    /// Returns the first owed cycle and drops the others before \p to
+    /// (only when owes(to)).
+    Cycle take_all(Cycle to) {
+        return std::exchange(next,
+                             next + ((to - next - 1) / every + 1) * every);
+    }
+};
 
 /// Byte address into the simulated main memory (512 MB fits easily).
 using MemAddr = std::uint64_t;

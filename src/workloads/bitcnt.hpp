@@ -69,6 +69,11 @@ public:
         cfg.lse = lse_config();
         return cfg;
     }
+    /// The sizes benches and tools run: the paper's bitcnt(10000), or the
+    /// ci scale.
+    [[nodiscard]] static Params preset(bool paper) {
+        return {.iterations = paper ? 10000u : 1024u};
+    }
 
     [[nodiscard]] const Params& params() const { return p_; }
     [[nodiscard]] std::uint32_t blocks() const {

@@ -159,8 +159,13 @@ void DataflowGen::emit_code() {
             .write(r(2), r(5), 0);
 
         // PS: allocate the join (if any) and the children, feed them, then
-        // count down the parent's join if we participate in one.
+        // count down the parent's join if we participate in one.  Every
+        // fourth thread frees its frame first and works on past its stores.
+        const bool late_free = n.id % 4 == 3;
         b.block(CodeBlock::kPs);
+        if (late_free) {
+            b.ffree();
+        }
         if (n.join >= 0) {
             b.falloc(r(7), static_cast<sim::ThreadCodeId>(n.join));
         }
@@ -175,7 +180,13 @@ void DataflowGen::emit_code() {
         if (n.join_word >= 0) {
             b.store(r(2), r(10), n.join_word);
         }
-        b.ffree().stop();
+        for (int i = 0; late_free && i < 20; ++i) {
+            b.addi(r(9), r(9), 1);
+        }
+        if (!late_free) {
+            b.ffree();
+        }
+        b.stop();
         prog_.add(std::move(b).build());
     }
     prog_.entry = 0;

@@ -7,7 +7,9 @@
 /// of children; each child then stores its result into a distinct word of
 /// the join's frame.  That exercises the full frame protocol — FALLOC
 /// fan-out, cross-thread STOREs, SC count-down, handle forwarding through
-/// frame memory — with a shape that varies per seed.
+/// frame memory — with a shape that varies per seed.  Every fourth thread
+/// (id % 4 == 3) frees its frame first and runs 20 more instructions after
+/// its stores, so a run can end while a thread works past its FFREE.
 ///
 /// Every thread writes its 32-bit result to a distinct output word exactly
 /// once, so the program is deterministic: memory after a cycle-level

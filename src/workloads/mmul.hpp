@@ -59,6 +59,11 @@ public:
         const std::uint32_t t = 8u * spes;
         return t > 32 ? 32 : t;
     }
+    /// The sizes benches and tools run: the paper's mmul(32) or the ci scale.
+    [[nodiscard]] static Params preset(bool paper, std::uint16_t spes) {
+        return {.n = paper ? 32u : 16u,
+                .threads = paper ? threads_for(spes) : 16u};
+    }
     /// The paper's CellDTA machine configuration tuned for this workload.
     [[nodiscard]] static core::MachineConfig machine_config(
         std::uint16_t spes) {

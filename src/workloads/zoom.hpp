@@ -65,6 +65,13 @@ public:
         const std::uint32_t t = 16u * spes;
         return t > 64 ? 64 : t;
     }
+    /// The sizes benches and tools run: the paper's zoom(32) by 8, or the
+    /// ci scale.
+    [[nodiscard]] static Params preset(bool paper, std::uint16_t spes) {
+        return {.n = paper ? 32u : 16u,
+                .factor = paper ? 8u : 4u,
+                .threads = paper ? threads_for(spes) : 16u};
+    }
     /// The paper's CellDTA machine configuration tuned for this workload.
     [[nodiscard]] static core::MachineConfig machine_config(
         std::uint16_t spes) {

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/machine.hpp"
 #include "isa/builder.hpp"
@@ -314,6 +316,36 @@ TEST(Machine, RunEndsAtStopAfterLateWorkPastFfree) {
         EXPECT_EQ(out.result.pes[0].breakdown[CycleBucket::kIdle], 0u)
             << "use_wheel " << use_wheel;
     }
+}
+
+TEST(Machine, HeartbeatsLandOnTheirMultiplesUnderBothPolicies) {
+    // The default policy jumps over cycles at which nothing is due; the
+    // run loop still serves a heartbeat at every multiple of the interval,
+    // with the state per-cycle ticking would have shown it.
+    using Beat = std::pair<sim::Cycle, std::uint64_t>;
+    std::vector<Beat> beats[2];
+    sim::Cycle cycles = 0;
+    for (const bool use_wheel : {true, false}) {
+        auto cfg = tiny_config(2);
+        cfg.use_wheel = use_wheel;
+        core::Machine m(cfg, fanout_program(8));
+        std::vector<Beat>& mine = beats[use_wheel ? 0 : 1];
+        m.set_progress(7, [&mine](const core::Machine::Progress& p) {
+            mine.emplace_back(p.cycle, p.live_threads);
+        });
+        m.launch({});
+        cycles = m.run().cycles;
+    }
+    EXPECT_EQ(beats[0], beats[1]);
+    std::vector<sim::Cycle> want;
+    for (sim::Cycle c = 0; c < cycles; c += 7) {
+        want.push_back(c);
+    }
+    std::vector<sim::Cycle> got;
+    for (const Beat& b : beats[0]) {
+        got.push_back(b.first);
+    }
+    EXPECT_EQ(got, want);
 }
 
 TEST(Machine, TelemetryWatchdogFlagsInjectedStall) {

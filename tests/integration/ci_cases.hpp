@@ -1,6 +1,6 @@
 // dta_bench's six ci cases (mmul, zoom and bitcnt, original and prefetch
-// variants, with build_registry's parameters), runnable on any machine
-// shape.  Shared by the tests that pin their results.
+// variants, at each workload's ci preset), runnable on any machine shape.
+// Shared by the tests that pin their results.
 #pragma once
 
 #include <cstdint>
@@ -35,28 +35,16 @@ inline RunOutcome run_ci_case(Kernel kernel, bool prefetch,
         return cfg;
     };
     switch (kernel) {
-        case Kernel::kMmul: {
-            MatMul::Params p;
-            p.n = 16;
-            p.threads = 16;
-            return run_workload(MatMul(p), shaped(MatMul::machine_config(8)),
-                                prefetch);
-        }
-        case Kernel::kZoom: {
-            Zoom::Params p;
-            p.n = 16;
-            p.factor = 4;
-            p.threads = 16;
-            return run_workload(Zoom(p), shaped(Zoom::machine_config(8)),
-                                prefetch);
-        }
-        case Kernel::kBitcnt: {
-            BitCount::Params p;
-            p.iterations = 1024;
-            return run_workload(BitCount(p),
+        case Kernel::kMmul:
+            return run_workload(MatMul(MatMul::preset(/*paper=*/false, 8)),
+                                shaped(MatMul::machine_config(8)), prefetch);
+        case Kernel::kZoom:
+            return run_workload(Zoom(Zoom::preset(/*paper=*/false, 8)),
+                                shaped(Zoom::machine_config(8)), prefetch);
+        case Kernel::kBitcnt:
+            return run_workload(BitCount(BitCount::preset(/*paper=*/false)),
                                 shaped(BitCount::machine_config(8)),
                                 prefetch);
-        }
     }
     return {};
 }

@@ -57,8 +57,7 @@ TEST(ProfScope, NestedChildTimeIsExcludedFromParent) {
     b.reset(2);
     std::uint64_t child_ns = 0;
     {
-        ProfScope outer(&b, ProfBuffer::kLoopSlot,
-                        ProfPhase::kFastforwardScan);
+        ProfScope outer(&b, ProfBuffer::kLoopSlot, ProfPhase::kSample);
         {
             ProfScope inner(&b, 1, tick());
             volatile std::uint64_t sink = 0;
@@ -69,7 +68,7 @@ TEST(ProfScope, NestedChildTimeIsExcludedFromParent) {
         child_ns = b.rows()[1][static_cast<std::size_t>(tick())].ns;
     }
     const std::uint64_t outer_self =
-        b.rows()[0][static_cast<std::size_t>(ProfPhase::kFastforwardScan)].ns;
+        b.rows()[0][static_cast<std::size_t>(ProfPhase::kSample)].ns;
     EXPECT_GT(child_ns, 0u);
     // Exclusive attribution: the parent's self time does not re-count the
     // child's duration, so the sum of the two is the true elapsed span —

@@ -118,19 +118,11 @@ std::vector<Case> build_registry(const Options& opt) {
     const bool paper = opt.scale == "paper";
     const std::uint16_t spes = 8;
 
-    workloads::MatMul::Params mp;
-    mp.n = paper ? 32 : 16;
-    mp.threads = paper ? workloads::MatMul::threads_for(spes) : 16;
+    const auto mp = workloads::MatMul::preset(paper, spes);
     const core::MachineConfig mc = workloads::MatMul::machine_config(spes);
-
-    workloads::Zoom::Params zp;
-    zp.n = paper ? 32 : 16;
-    zp.factor = paper ? 8 : 4;
-    zp.threads = paper ? workloads::Zoom::threads_for(spes) : 16;
+    const auto zp = workloads::Zoom::preset(paper, spes);
     const core::MachineConfig zc = workloads::Zoom::machine_config(spes);
-
-    workloads::BitCount::Params bp;
-    bp.iterations = paper ? 10000 : 1024;
+    const auto bp = workloads::BitCount::preset(paper);
     const core::MachineConfig bc = workloads::BitCount::machine_config(spes);
 
     const std::string tag = paper ? "paper" : "ci";

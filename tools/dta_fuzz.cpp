@@ -5,7 +5,8 @@
 ///        functional Interpreter oracle and the generator's host-side
 ///        replica — and, per run, the default scheduler's run report is
 ///        byte-compared against the per-cycle reference's (every
-///        component ticked every cycle).  A quarter of the corpus
+///        component ticked every cycle), and so are the heartbeats and
+///        audit sweeps each leg observed.  A quarter of the corpus
 ///        additionally runs with live telemetry and the stall watchdog
 ///        armed; a passing run that trips the watchdog is reported as a
 ///        failure (no spurious stall diagnostics), and the report
@@ -41,11 +42,13 @@
 /// plus a bisect line that appends --bisect to the same command.
 /// Exit status: 0 when every run passed, 1 on any failure, 2 on bad usage.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_util.hpp"
@@ -256,12 +259,74 @@ struct SnapshotKnobs {
     std::string last_path;      ///< out
 };
 
+/// What the periodic observers of one run saw: heartbeats (cycle, live
+/// threads) and the sweeps of an audit probe (cycle, Σ instructions
+/// retired, live frames).
+struct Observed {
+    struct Sweep {
+        sim::Cycle cycle;
+        std::uint64_t instrs;
+        std::uint64_t frames;
+    };
+    std::vector<std::pair<sim::Cycle, std::uint64_t>> beats;
+    std::vector<Sweep> sweeps;
+};
+
+/// Records \p m's heartbeats and audit sweeps into \p obs.
+void record_observers(core::Machine& m, Observed& obs) {
+    m.set_progress(97, [&obs](const core::Machine::Progress& p) {
+        obs.beats.emplace_back(p.cycle, p.live_threads);
+    });
+    m.auditor().add("probe", [&m, &obs](const sim::AuditCtx& ctx) {
+        Observed::Sweep s{ctx.now(), 0, 0};
+        for (std::uint32_t i = 0; i < m.num_pes(); ++i) {
+            const core::Pe& pe = m.pe(i);
+            s.instrs += pe.instr_stats().total();
+            s.frames +=
+                pe.lse().live_frames() + pe.lse().virtual_frames_live();
+        }
+        obs.sweeps.push_back(s);
+    });
+}
+
+/// The observer oracle: the default policy must serve the heartbeats the
+/// per-cycle reference serves, sweep only at cycles the reference sweeps,
+/// and have swept every state the reference swept — each reference sweep
+/// reads what the default policy's latest sweep at or before it read.
+/// Returns an empty string when both agree.
+std::string compare_observers(const Observed& dflt, const Observed& ref) {
+    if (dflt.beats != ref.beats) {
+        return "heartbeats diverged from the per-cycle reference's";
+    }
+    for (const Observed::Sweep& s : dflt.sweeps) {
+        if (!std::ranges::binary_search(ref.sweeps, s.cycle, {},
+                                        &Observed::Sweep::cycle)) {
+            return "audit sweep at cycle " + std::to_string(s.cycle) +
+                   ", where the per-cycle reference swept none";
+        }
+    }
+    std::size_t next = 0;
+    const Observed::Sweep* latest = nullptr;
+    for (const Observed::Sweep& r : ref.sweeps) {
+        while (next < dflt.sweeps.size() &&
+               dflt.sweeps[next].cycle <= r.cycle) {
+            latest = &dflt.sweeps[next++];
+        }
+        if (latest == nullptr || latest->instrs != r.instrs ||
+            latest->frames != r.frames) {
+            return "no audit sweep saw the state at cycle " +
+                   std::to_string(r.cycle);
+        }
+    }
+    return "";
+}
+
 /// Runs one (config, seed) point: generator -> Interpreter oracle ->
 /// audited Machine (default scheduler) -> per-cycle reference differential
-/// -> word-for-word memory comparison.  Returns true when everything
-/// agreed; otherwise fills \p why.  With \p snap, the machine leg restores
-/// and/or checkpoints (the reference differential is skipped — the bisect
-/// loop studies the one failing leg).
+/// (run report and observers) -> word-for-word memory comparison.  Returns
+/// true when everything agreed; otherwise fills \p why.  With \p snap, the
+/// machine leg restores and/or checkpoints (the reference differential is
+/// skipped — the bisect loop studies the one failing leg).
 bool run_one(const FuzzConfig& c, std::uint64_t seed, bool inject_failure,
              std::string& why, SnapshotKnobs* snap = nullptr) {
     try {
@@ -294,6 +359,8 @@ bool run_one(const FuzzConfig& c, std::uint64_t seed, bool inject_failure,
             cfg.telemetry.interval = 1024;
         }
         core::Machine machine(cfg, prog);
+        Observed seen;
+        record_observers(machine, seen);
         if (inject_failure) {
             machine.auditor().add("fuzz", [](const sim::AuditCtx& ctx) {
                 ctx.fail("injected",
@@ -355,6 +422,8 @@ bool run_one(const FuzzConfig& c, std::uint64_t seed, bool inject_failure,
             core::MachineConfig ref_cfg = cfg;
             ref_cfg.use_wheel = false;
             core::Machine ref(ref_cfg, prog);
+            Observed ref_seen;
+            record_observers(ref, ref_seen);
             gen.init_memory(ref.memory());
             ref.launch(args);
             const core::RunResult rres = ref.run();
@@ -362,6 +431,10 @@ bool run_one(const FuzzConfig& c, std::uint64_t seed, bool inject_failure,
             const std::string b = stats::run_report_json(rres, prog.name);
             if (a != b) {
                 why = "run report diverged from the per-cycle reference's";
+                return false;
+            }
+            why = compare_observers(seen, ref_seen);
+            if (!why.empty()) {
                 return false;
             }
             for (std::uint32_t id = 0; id < gen.thread_count(); ++id) {
