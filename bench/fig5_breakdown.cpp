@@ -32,7 +32,9 @@ constexpr PaperRow kPaper[] = {
 }  // namespace
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 10000);
+    const std::uint32_t iters =
+        arg_u32(argc, argv, "--iterations",
+                workloads::BitCount::preset(/*paper=*/true).iterations);
     const Shape shape = shape_from_args(argc, argv);
     banner("FIG5", "SPU execution-time breakdown, 8 SPEs, latency 150");
 

@@ -14,7 +14,9 @@ using namespace dta;
 using namespace dta::bench;
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 10000);
+    const std::uint32_t iters =
+        arg_u32(argc, argv, "--iterations",
+                workloads::BitCount::preset(/*paper=*/true).iterations);
     const Shape shape = shape_from_args(argc, argv);
     banner("LAT1", "all memory latencies = 1 (perfect-cache extreme)");
 

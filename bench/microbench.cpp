@@ -32,6 +32,10 @@ using namespace dta;
 
 void BM_InterconnectTick(benchmark::State& state) {
     noc::Interconnect fabric(noc::InterconnectConfig{}, 11);
+    std::vector<sim::Port<noc::Packet>> rx(11);
+    for (noc::EndpointId ep = 0; ep < 11; ++ep) {
+        fabric.bind_endpoint(ep, &rx[ep]);
+    }
     sim::Cycle now = 0;
     std::uint64_t seq = 0;
     for (auto _ : state) {
@@ -44,8 +48,8 @@ void BM_InterconnectTick(benchmark::State& state) {
                                 std::move(p), now);
         fabric.tick(now++);
         noc::Packet out;
-        for (noc::EndpointId ep = 0; ep < 11; ++ep) {
-            while (fabric.pop_delivered(ep, out)) {
+        for (auto& port : rx) {
+            while (port.pop(out)) {
             }
         }
         ++seq;
@@ -82,10 +86,10 @@ void BM_MainMemoryTick(benchmark::State& state) {
             rq.size = 128;
             mm.enqueue(std::move(rq));
         }
-        mm.tick(now++);
         mem::MemResponse resp;
-        while (mm.pop_response(resp)) {
+        while (mm.pop_response(now, resp)) {
         }
+        mm.tick(now++);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -145,7 +145,7 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
         if (cfg_.nodes > 1) {
             fab.bind_endpoint(layout_.bridge_ep(),
                               &routers_[n]->bridge_out_port());
-            routers_[n]->set_forward_to(
+            links_[n].bind_sink(
                 &routers_[(n + 1) % cfg_.nodes]->arrivals_port());
         }
     }

@@ -72,9 +72,9 @@ void MemInterface::decode(noc::Packet&& pkt) {
     }
 }
 
-void MemInterface::drain_responses() {
+void MemInterface::drain_responses(sim::Cycle now) {
     mem::MemResponse resp;
-    while (mem_.pop_response(resp)) {
+    while (mem_.pop_response(now, resp)) {
         if (resp.meta == kNoResponse) {
             continue;  // posted SPU WRITE
         }
@@ -113,8 +113,10 @@ sim::Cycle MemInterface::tick(sim::Cycle now) {
     while (rx_.pop(pkt)) {
         decode(std::move(pkt));
     }
+    // Retire before starting: a request started this cycle retires at a
+    // later one even at zero latency.
+    drain_responses(now);
     mem_.tick(now);
-    drain_responses();
     return tx_.empty() ? mem_.next_activity(now) : now + 1;
 }
 

@@ -32,11 +32,12 @@ public:
     /// Response packets ready for injection (drained by the node-0 router).
     [[nodiscard]] sim::Port<noc::Packet>& tx_port() { return tx_; }
 
-    /// Decode rx packets into requests, advance the controller, package
-    /// completions.  Request decode runs before the controller tick, as in
-    /// the seed's route-then-tick ordering, so enqueue-to-service timing is
-    /// unchanged.  Returns now + 1 while responses await injection, else
-    /// the controller's horizon.
+    /// Decode rx packets into requests, package the completions the
+    /// controller retires, then start its queued requests.  Request decode
+    /// runs before the controller starts requests, as in the seed's
+    /// route-then-tick ordering, so enqueue-to-service timing is unchanged.
+    /// Returns now + 1 while responses await injection, else the
+    /// controller's horizon.
     sim::Cycle tick(sim::Cycle now) override;
     [[nodiscard]] bool quiescent() const override;
 
@@ -61,7 +62,8 @@ private:
     };
 
     void decode(noc::Packet&& pkt);
-    void drain_responses();
+    /// Packages every response the controller retires at \p now.
+    void drain_responses(sim::Cycle now);
 
     mem::MainMemory& mem_;
     sim::Pool<MemCtx> ctxs_;

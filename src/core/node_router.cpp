@@ -104,11 +104,7 @@ sim::Cycle NodeRouter::tick(sim::Cycle now) {
             const bool ok = link_->try_send(std::move(pkt));
             DTA_CHECK(ok);
         }
-        link_->tick(now);
-        noc::Packet pkt;
-        while (link_->pop_delivered(pkt)) {
-            forward_to_->push(std::move(pkt));
-        }
+        link_->tick(now);  // delivers into the next node's arrivals
     }
     return horizon(now);
 }

@@ -4,11 +4,11 @@
 ///        node's bus fabric, and pumps the outbound ring link.
 ///
 /// This is the seed's Machine::injection_phase, one Component per node
-/// with its wiring (fabric, DSE, local PEs, memory interface, ring link,
-/// downstream arrivals port) fixed at construction instead of re-derived
-/// from machine-global state every cycle.  Routers are registered last and
-/// in node order, preserving the seed's same-cycle forwarding of link
-/// arrivals to higher-numbered nodes.
+/// with its wiring (fabric, DSE, local PEs, memory interface, ring link)
+/// fixed at construction instead of re-derived from machine-global state
+/// every cycle.  The ring link delivers into the next node's arrivals port.
+/// Routers are registered last and in node order, preserving the seed's
+/// same-cycle forwarding of link arrivals to higher-numbered nodes.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,6 @@ public:
     [[nodiscard]] sim::Port<noc::Packet>& bridge_out_port() {
         return bridge_out_;
     }
-    /// Wires the ring: this node's link delivers into \p next's arrivals.
-    void set_forward_to(sim::Port<noc::Packet>* next) { forward_to_ = next; }
     /// Points kLinkHop emission (remote frame stores leaving the node) at
     /// \p log; \p ordinal identifies this router in the merged event log
     /// (total PE count + node id, keeping it disjoint from PE ordinals).
@@ -65,7 +63,7 @@ public:
 private:
     [[nodiscard]] bool inject(noc::EndpointId src, noc::Packet pkt,
                               sim::Cycle now);
-    /// The horizon tick() returns, read after the link's deliveries moved.
+    /// The horizon tick() returns, read after the link ticked.
     [[nodiscard]] sim::Cycle horizon(sim::Cycle now) const;
 
     std::uint16_t node_;
@@ -76,7 +74,6 @@ private:
     std::vector<Pe*> local_pes_;
     MemInterface* memif_;                      ///< memory node only
     noc::Link* link_;                          ///< multi-node only
-    sim::Port<noc::Packet>* forward_to_ = nullptr;
     sim::EventLog* events_ = nullptr;  ///< optional, machine-owned
     std::uint32_t ordinal_ = 0;        ///< event ordinal (pes + node)
 

@@ -1,5 +1,6 @@
 #include "core/pe.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/wire.hpp"
@@ -235,16 +236,7 @@ void Pe::handle_dispatch(sim::Cycle now) {
         breakdown_.charge(CycleBucket::kLseStall);
         return;
     }
-    if (lse_.ready_count() > 0) {
-        // A thread is ready; we are inside the SPU<->LSE handshake.
-        breakdown_.charge(CycleBucket::kLseStall);
-    } else if (lse_.waitdma_count() > 0 && cfg_.count_dma_idle_as_prefetch) {
-        // Only suspended prefetching threads exist: this idleness is the
-        // unoverlapped part of the prefetch cost.
-        breakdown_.charge(CycleBucket::kPrefetch);
-    } else {
-        breakdown_.charge(CycleBucket::kIdle);
-    }
+    charge_stall(now, now + 1);
 }
 
 void Pe::bind_thread(const sched::Dispatch& d, sim::Cycle now) {
@@ -403,6 +395,50 @@ Pe::IssueCheck Pe::can_issue(std::uint32_t ip, sim::Cycle now) const {
     return {true, CycleBucket::kWorking};
 }
 
+// Always inlined: the horizon of every PE visit calls it, and the call
+// cost mmul-pf about 2% (docs/PERFORMANCE.md, "One queue type").
+[[gnu::always_inline]] inline std::optional<Pe::Stall> Pe::stall_at(
+    sim::Cycle c) const {
+    if (!bound_) {
+        if (lse_.ready_count() > 0) {
+            if (lse_.dispatch_ready_at() <= c) {
+                return std::nullopt;  // the handshake is over: binds at c
+            }
+            // A thread is ready; we are inside the SPU<->LSE handshake.
+            return Stall{CycleBucket::kLseStall, lse_.dispatch_ready_at()};
+        }
+        if (lse_.waitdma_count() > 0 && cfg_.count_dma_idle_as_prefetch) {
+            // Only suspended prefetching threads exist: this idleness is the
+            // unoverlapped part of the prefetch cost.
+            return Stall{CycleBucket::kPrefetch, sim::kIdleForever};
+        }
+        return Stall{CycleBucket::kIdle, sim::kIdleForever};
+    }
+    if (c < busy_until_) {
+        CycleBucket bucket = CycleBucket::kPipeStall;  // a branch bubble
+        if (busy_reason_ == BusyReason::kThreadStart) {
+            bucket = CycleBucket::kLseStall;
+        } else if (busy_reason_ == BusyReason::kDmaProgram) {
+            bucket = CycleBucket::kPrefetch;
+        }
+        return Stall{bucket, busy_until_};
+    }
+    // Resource state only mutates inside ticks, so the verdict holds until
+    // the next finite operand ready-time.
+    const IssueCheck chk = can_issue(ip_, c);
+    if (chk.ok) {
+        return std::nullopt;
+    }
+    return Stall{chk.stall, operand_horizon(facts_[ip_], c)};
+}
+
+void Pe::charge_stall(sim::Cycle from, sim::Cycle to) {
+    const std::optional<Stall> stall = stall_at(from);
+    DTA_CHECK_MSG(stall && to <= stall->until,
+                  "SPU cycles charged past their stall verdict");
+    breakdown_.charge(stall->bucket, to - from);
+}
+
 void Pe::tick_spu(sim::Cycle now) {
     if (!bound_) {
         handle_dispatch(now);
@@ -410,20 +446,7 @@ void Pe::tick_spu(sim::Cycle now) {
     }
     ++code_cycles_[code_id_];
     if (now < busy_until_) {
-        switch (busy_reason_) {
-            case BusyReason::kThreadStart:
-                breakdown_.charge(CycleBucket::kLseStall);
-                break;
-            case BusyReason::kBranch:
-                breakdown_.charge(CycleBucket::kPipeStall);
-                break;
-            case BusyReason::kDmaProgram:
-                breakdown_.charge(CycleBucket::kPrefetch);
-                break;
-            case BusyReason::kNone:
-                breakdown_.charge(CycleBucket::kPipeStall);
-                break;
-        }
+        charge_stall(now, now + 1);
         return;
     }
 
@@ -865,14 +888,14 @@ bool Pe::quiescent() const {
 // ---------------------------------------------------------------------------
 
 sim::Cycle Pe::operand_horizon(const isa::IssueFacts& f,
-                               sim::Cycle now) const {
+                               sim::Cycle c) const {
     sim::Cycle h = sim::kIdleForever;
     for (std::uint8_t k = 0; k < f.num_regs; ++k) {
         // Regs pending on external events (kCycleNever) are woken by the
         // component carrying the request; only finite ready-times schedule
         // a retry here.
         const sim::Cycle ready = reg_ready_[f.regs[k]];
-        if (ready > now + 1 && ready != sim::kCycleNever && ready < h) {
+        if (ready > c && ready != sim::kCycleNever && ready < h) {
             h = ready;
         }
     }
@@ -886,85 +909,35 @@ sim::Cycle Pe::horizon(sim::Cycle now) const {
         lse_.falloc_response_pending()) {
         return now + 1;
     }
-    sim::Cycle h = ls_.next_activity(now);
-    const sim::Cycle mfc_h = mfc_.next_activity(now);
-    h = mfc_h < h ? mfc_h : h;
-    if (bound_) {
-        if (busy_until_ > now + 1) {
-            h = busy_until_ < h ? busy_until_ : h;
-        } else {
-            // The pipeline attempts issue next cycle; skippable only while
-            // the verdict provably cannot change.
-            const IssueCheck chk = can_issue(ip_, now + 1);
-            if (chk.ok) {
-                return now + 1;
-            }
-            const sim::Cycle op_h = operand_horizon(facts_[ip_], now);
-            h = op_h < h ? op_h : h;
-        }
-    } else {
-        if (!lse_.dispatch_requested() && !lse_.quiescent()) {
-            return now + 1;  // handle_dispatch posts the request (a mutation)
-        }
-        // With an empty LSE nothing is dispatched before a FALLOC wakes this
-        // PE; skip() posts the request, so a quiescent PE stays unarmed.
-        if (lse_.ready_count() > 0) {
-            sim::Cycle d = lse_.dispatch_ready_at();
-            d = d > now + 1 ? d : now + 1;
-            h = d < h ? d : h;
-        }
-        // No ready thread: the wake-up (DMA completion, frame store) rides
-        // on another component's horizon.
+    // An unposted dispatch request is posted by handle_dispatch (a
+    // mutation) -- unless the LSE is empty: then nothing is dispatched
+    // before a FALLOC wakes this PE, and skip() posts the request, so a
+    // quiescent PE stays unarmed.
+    if (!bound_ && !lse_.dispatch_requested() && !lse_.quiescent()) {
+        return now + 1;
     }
-    return h;
+    // The SPU's stall bounds the jump; an unbound PE with no ready thread
+    // waits for a wake-up (DMA completion, frame store) that rides on
+    // another component's horizon.
+    const std::optional<Stall> stall = stall_at(now + 1);
+    if (!stall) {
+        return now + 1;
+    }
+    return std::min(
+        {ls_.next_activity(now), mfc_.next_activity(now), stall->until});
 }
 
 void Pe::skip(sim::Cycle from, sim::Cycle to) {
-    const std::uint64_t n = to - from;
-    if (!bound_) {
-        // Replicates handle_dispatch's non-dispatching charges; the horizon
-        // guarantees no dispatch could have happened in [from, to).  A PE
-        // that slept with an empty LSE posts its request here, at `from`.
-        if (!lse_.dispatch_requested()) {
-            DTA_CHECK(lse_.quiescent());
-            lse_.request_dispatch(from);
-        }
-        if (lse_.ready_count() > 0) {
-            DTA_CHECK(to <= lse_.dispatch_ready_at());
-            breakdown_.charge(CycleBucket::kLseStall, n);
-        } else if (lse_.waitdma_count() > 0 &&
-                   cfg_.count_dma_idle_as_prefetch) {
-            breakdown_.charge(CycleBucket::kPrefetch, n);
-        } else {
-            breakdown_.charge(CycleBucket::kIdle, n);
-        }
-    } else {
-        code_cycles_[code_id_] += n;
-        if (from < busy_until_) {
-            DTA_CHECK(to <= busy_until_);
-            switch (busy_reason_) {
-                case BusyReason::kThreadStart:
-                    breakdown_.charge(CycleBucket::kLseStall, n);
-                    break;
-                case BusyReason::kBranch:
-                    breakdown_.charge(CycleBucket::kPipeStall, n);
-                    break;
-                case BusyReason::kDmaProgram:
-                    breakdown_.charge(CycleBucket::kPrefetch, n);
-                    break;
-                case BusyReason::kNone:
-                    breakdown_.charge(CycleBucket::kPipeStall, n);
-                    break;
-            }
-        } else {
-            // The stall verdict is constant across the span: every finite
-            // operand ready-time bounds the horizon, and resource state
-            // only mutates inside ticks.
-            const IssueCheck chk = can_issue(ip_, from);
-            DTA_CHECK_MSG(!chk.ok, "fast-forward skipped an issuable cycle");
-            breakdown_.charge(chk.stall, n);
-        }
+    if (bound_) {
+        code_cycles_[code_id_] += to - from;
+    } else if (!lse_.dispatch_requested()) {
+        // A PE that slept with an empty LSE posts its request here, at
+        // `from`, where a tick would have.
+        DTA_CHECK(lse_.quiescent());
+        lse_.request_dispatch(from);
     }
+    // The horizon guarantees no cycle of [from, to) issues or binds.
+    charge_stall(from, to);
     // Sub-units only need their stale-by-one event clocks advanced.
     mfc_.skip(from, to);
     lse_.skip(from, to);

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "core/breakdown.hpp"
@@ -71,11 +70,11 @@ public:
     }
 
     /// Bulk-applies the per-cycle accounting the seed loop would have
-    /// produced for the skipped cycles [from, to): exactly one Breakdown
-    /// bucket per cycle (the stall/idle reason is invariant across a
-    /// skipped span by construction of horizon()), per-code cycle
-    /// attribution, the stale-by-one event clocks of the MFC and LSE, and
-    /// the dispatch request a PE with an empty LSE slept without posting.
+    /// produced for the skipped cycles [from, to): one Breakdown bucket for
+    /// the whole span, charged through stall_at (whose verdict holds until
+    /// its `until`, which bounds horizon()), per-code cycle attribution,
+    /// the stale-by-one event clocks of the MFC and LSE, and the dispatch
+    /// request a PE with an empty LSE slept without posting.
     void skip(sim::Cycle from, sim::Cycle to) override;
 
     // ---- per-cycle phases (in tick() order; split for unit tests) --------
@@ -163,12 +162,28 @@ private:
         CycleBucket stall = CycleBucket::kWorking;
     };
 
+    /// The charge of an SPU cycle that neither issues nor binds a thread.
+    struct Stall {
+        CycleBucket bucket = CycleBucket::kIdle;
+        sim::Cycle until = sim::kIdleForever;  ///< first cycle it can change
+    };
+
     // pipeline steps
     void handle_dispatch(sim::Cycle now);
     void bind_thread(const sched::Dispatch& d, sim::Cycle now);
     void unbind(sim::Cycle now);
     /// Issue verdict for instruction \p ip of the bound thread code.
     [[nodiscard]] IssueCheck can_issue(std::uint32_t ip, sim::Cycle now) const;
+    /// The bucket an SPU cycle at \p c is charged to, and the first cycle
+    /// at which that can change: the dispatch handshake's end, busy_until_,
+    /// a finite operand ready-time, or else kIdleForever (only another
+    /// component's event changes it).  nullopt when the SPU issues or binds
+    /// a thread at \p c.  An unbound PE's dispatch request must be posted
+    /// (or its LSE quiescent).
+    [[nodiscard]] std::optional<Stall> stall_at(sim::Cycle c) const;
+    /// Charges the SPU cycles [from, to), none of which issues or binds,
+    /// to stall_at(from)'s bucket.
+    void charge_stall(sim::Cycle from, sim::Cycle to);
     /// Executes \p ins; returns false when the pipeline must not look at a
     /// second slot this cycle (branch taken, control op, thread unbound).
     bool execute(const isa::Instruction& ins, sim::Cycle now);
@@ -177,10 +192,11 @@ private:
         const isa::IssueFacts& f, sim::Cycle now) const;
     /// Earliest cycle this PE (SPU + LS + LSE + MFC) could change state.
     [[nodiscard]] sim::Cycle horizon(sim::Cycle now) const;
-    /// Earliest cycle a finite operand ready-time could change the issue
-    /// verdict of \p f (kIdleForever when all blockers are external).
+    /// Earliest finite operand ready-time of \p f after cycle \p c, the
+    /// first cycle such an operand could change \p f's issue verdict
+    /// (kIdleForever when all blockers are external).
     [[nodiscard]] sim::Cycle operand_horizon(const isa::IssueFacts& f,
-                                             sim::Cycle now) const;
+                                             sim::Cycle c) const;
 
     // execution helpers
     void exec_compute(const isa::Instruction& ins, sim::Cycle now);

@@ -107,8 +107,7 @@ bool Mfc::try_enqueue(MfcCommand cmd) {
         ++rejections_;
         return false;
     }
-    queue_.push_back(cmd);
-    queue_times_.push_back(now_);
+    queue_.push_back(Queued{cmd, now_});
     return true;
 }
 
@@ -156,10 +155,9 @@ void Mfc::start_decode(sim::Cycle now) {
     if (decoding_ || queue_.empty()) {
         return;
     }
-    decode_cmd_ = queue_.front();
-    queue_.pop_front();
-    decode_cmd_enq_at_ = queue_times_.front();
-    queue_times_.pop_front();
+    const Queued q = queue_.take_front();
+    decode_cmd_ = q.cmd;
+    decode_cmd_enq_at_ = q.enqueued_at;
     decoding_ = true;
     decode_done_at_ = now + cfg_.command_latency;
 }
@@ -271,8 +269,7 @@ void Mfc::advance(sim::Cycle now) {
         DTA_CHECK(ac.lines_total > 0);
         ++emitting_;
         if (!free_slots_.empty()) {
-            const std::size_t slot = free_slots_.front();
-            free_slots_.pop_front();
+            const std::size_t slot = free_slots_.take_front();
             active_[slot] = std::move(ac);
         } else {
             active_.push_back(std::move(ac));
@@ -290,8 +287,7 @@ bool Mfc::pop_line_request(MfcLineRequest& out) {
     if (ready_lines_.empty()) {
         return false;
     }
-    out = std::move(ready_lines_.front());
-    ready_lines_.pop_front();
+    out = ready_lines_.take_front();
     return true;
 }
 
@@ -332,18 +328,11 @@ bool Mfc::pop_completion(MfcCompletion& out) {
     if (completions_.empty()) {
         return false;
     }
-    out = completions_.front();
-    completions_.pop_front();
+    out = completions_.take_front();
     return true;
 }
 
 void Mfc::audit(const sim::AuditCtx& ctx) const {
-    if (queue_.size() != queue_times_.size()) {
-        ctx.fail("queue-accounting",
-                 "command queue and enqueue-time queue diverged (" +
-                     std::to_string(queue_.size()) + " vs " +
-                     std::to_string(queue_times_.size()) + ")");
-    }
     if (queue_.size() > cfg_.queue_depth) {
         ctx.fail("queue-accounting",
                  "command queue holds " + std::to_string(queue_.size()) +
@@ -451,9 +440,10 @@ void Mfc::audit(const sim::AuditCtx& ctx) const {
 }
 
 void Mfc::save_state(sim::StateSink& s) const {
-    sim::save_seq(s, queue_, save_command);
-    sim::save_seq(s, queue_times_,
-                  [](sim::StateSink& k, sim::Cycle c) { k.u64(c); });
+    sim::save_seq(s, queue_, [](sim::StateSink& k, const Queued& q) {
+        save_command(k, q.cmd);
+        k.u64(q.enqueued_at);
+    });
     s.flag(decoding_);
     s.u64(decode_done_at_);
     save_command(s, decode_cmd_);
@@ -496,9 +486,10 @@ void Mfc::save_state(sim::StateSink& s) const {
 }
 
 void Mfc::load_state(sim::StateSource& s) {
-    sim::load_seq(s, queue_, load_command);
-    sim::load_seq(s, queue_times_,
-                  [](sim::StateSource& k, sim::Cycle& c) { c = k.u64(); });
+    sim::load_seq(s, queue_, [](sim::StateSource& k, Queued& q) {
+        load_command(k, q.cmd);
+        q.enqueued_at = k.u64();
+    });
     decoding_ = s.flag();
     decode_done_at_ = s.u64();
     load_command(s, decode_cmd_);

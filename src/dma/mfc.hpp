@@ -25,11 +25,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
 #include "mem/local_store.hpp"
+#include "sim/fifo.hpp"
 #include "sim/metrics.hpp"
 #include "sim/types.hpp"
 
@@ -196,6 +196,12 @@ public:
     void load_state(sim::StateSource& s);
 
 private:
+    /// A command waiting for the decoder.
+    struct Queued {
+        MfcCommand cmd;
+        sim::Cycle enqueued_at = 0;  ///< cycle the SPU programmed it
+    };
+
     struct ActiveCommand {
         MfcCommand cmd;
         sim::Cycle enqueued_at = 0;        ///< cycle the SPU programmed it
@@ -222,23 +228,22 @@ private:
 
     MfcConfig cfg_;
     mem::LocalStore& ls_;
-    std::deque<MfcCommand> queue_;
-    std::deque<sim::Cycle> queue_times_;  ///< enqueue cycle, parallel to queue_
+    sim::Fifo<Queued> queue_;
     bool decoding_ = false;
     sim::Cycle decode_done_at_ = 0;
     MfcCommand decode_cmd_;
     sim::Cycle decode_cmd_enq_at_ = 0;
     std::vector<ActiveCommand> active_;    ///< indexed by slot; freed lazily
-    std::deque<std::size_t> free_slots_;
+    sim::Fifo<std::size_t> free_slots_;
     /// Active commands with lines left to emit.  Kept where commands
     /// activate and lines are emitted; derived state, so snapshots do not
     /// carry it and load_state() recomputes it.
     std::uint32_t emitting_ = 0;
-    std::deque<MfcLineRequest> ready_lines_;  ///< emitted, waiting for pickup
+    sim::Fifo<MfcLineRequest> ready_lines_;  ///< emitted, waiting for pickup
     std::uint64_t next_line_id_ = 1;
     std::vector<std::pair<std::uint64_t, LineInfo>> line_table_;  ///< in-flight
     std::uint32_t lines_in_flight_ = 0;
-    std::deque<MfcCompletion> completions_;
+    sim::Fifo<MfcCompletion> completions_;
     std::uint64_t commands_completed_ = 0;
     std::uint64_t bytes_ = 0;
     std::uint64_t rejections_ = 0;

@@ -134,39 +134,38 @@ void MainMemory::enqueue(MemRequest req) {
     peak_queue_ = std::max(peak_queue_, queue_.size());
 }
 
-void MainMemory::tick(sim::Cycle now) {
-    // Retire in-flight requests whose access latency elapsed.  Starts are
-    // FIFO with a fixed latency, so completions are FIFO too.
-    while (!in_flight_.empty() && in_flight_.front().done_at <= now) {
-        InFlight fl = std::move(in_flight_.front());
-        in_flight_.pop_front();
-        MemResponse resp;
-        resp.id = fl.req.id;
-        resp.op = fl.req.op;
-        resp.addr = fl.req.addr;
-        resp.meta = fl.req.meta;
-        if (fl.req.op == MemOp::kRead) {
-            resp.data.resize(fl.req.size);
-            read_bytes(fl.req.addr, resp.data);
-            ++reads_served_;
-            bytes_read_ += fl.req.size;
-        } else {
-            write_bytes(fl.req.addr, fl.req.data);
-            ++writes_served_;
-            bytes_written_ += fl.req.size;
-        }
-        responses_.push_back(std::move(resp));
+bool MainMemory::pop_response(sim::Cycle now, MemResponse& out) {
+    // Starts are FIFO with a fixed latency, so completions are FIFO too.
+    if (in_flight_.empty() || in_flight_.front().done_at > now) {
+        return false;
     }
+    const MemRequest req = in_flight_.take_front().req;
+    out.id = req.id;
+    out.op = req.op;
+    out.addr = req.addr;
+    out.meta = req.meta;
+    if (req.op == MemOp::kRead) {
+        out.data.resize(req.size);
+        read_bytes(req.addr, out.data);
+        ++reads_served_;
+        bytes_read_ += req.size;
+    } else {
+        out.data.clear();
+        write_bytes(req.addr, req.data);
+        ++writes_served_;
+        bytes_written_ += req.size;
+    }
+    return true;
+}
 
+void MainMemory::tick(sim::Cycle now) {
     // Start new requests if the channel is free.
     if (now < port_free_at_) {
         return;
     }
     std::uint32_t started = 0;
     while (!queue_.empty() && started < cfg_.ports) {
-        in_flight_.push_back(
-            InFlight{now + cfg_.latency, std::move(queue_.front())});
-        queue_.pop_front();
+        in_flight_.push_back(InFlight{now + cfg_.latency, queue_.take_front()});
         ++started;
     }
     if (started > 0) {
@@ -193,14 +192,6 @@ void MainMemory::save_state(sim::StateSink& s) const {
         k.u64(fl.done_at);
         save_request(k, fl.req);
     });
-    sim::save_seq(s, responses_, [](sim::StateSink& k, const MemResponse& r) {
-        k.u64(r.id);
-        k.u8(static_cast<std::uint8_t>(r.op));
-        k.u64(r.addr);
-        sim::save_seq(k, r.data,
-                      [](sim::StateSink& j, std::uint8_t b) { j.u8(b); });
-        k.u64(r.meta);
-    });
     s.u64(port_free_at_);
     s.u64(reads_served_);
     s.u64(writes_served_);
@@ -222,29 +213,12 @@ void MainMemory::load_state(sim::StateSource& s) {
         fl.done_at = k.u64();
         load_request(k, fl.req);
     });
-    sim::load_seq(s, responses_, [](sim::StateSource& k, MemResponse& r) {
-        r.id = k.u64();
-        r.op = static_cast<MemOp>(k.u8());
-        r.addr = k.u64();
-        sim::load_seq(k, r.data,
-                      [](sim::StateSource& j, std::uint8_t& b) { b = j.u8(); });
-        r.meta = k.u64();
-    });
     port_free_at_ = s.u64();
     reads_served_ = s.u64();
     writes_served_ = s.u64();
     bytes_read_ = s.u64();
     bytes_written_ = s.u64();
     peak_queue_ = s.u64();
-}
-
-bool MainMemory::pop_response(MemResponse& out) {
-    if (responses_.empty()) {
-        return false;
-    }
-    out = std::move(responses_.front());
-    responses_.pop_front();
-    return true;
 }
 
 }  // namespace dta::mem

@@ -18,10 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
 namespace dta::sim {
@@ -80,24 +80,24 @@ public:
     /// is applied upstream by the interconnect).
     void enqueue(MemRequest req);
 
-    /// Advances one cycle: starts up to `ports` queued requests and retires
-    /// those whose latency elapsed into the response queue.
+    /// Advances one cycle: starts up to `ports` queued requests when the
+    /// port is free.
     void tick(sim::Cycle now);
 
-    /// Drains one completed response, if any.
-    [[nodiscard]] bool pop_response(MemResponse& out);
+    /// Retires the oldest in-flight request if its latency elapsed by
+    /// \p now: performs the access and returns its response in \p out.
+    /// The owner pops at a cycle before ticking it, so a request started
+    /// at that cycle retires at a later one.
+    [[nodiscard]] bool pop_response(sim::Cycle now, MemResponse& out);
 
     /// True when no request is queued or in flight.
     [[nodiscard]] bool quiescent() const {
-        return queue_.empty() && in_flight_.empty() && responses_.empty();
+        return queue_.empty() && in_flight_.empty();
     }
 
-    /// Horizon: completed responses await an external pop; queued requests
-    /// start when the port frees; in-flight requests retire at done_at.
+    /// Horizon: queued requests start when the port frees; in-flight
+    /// requests retire at done_at.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
-        if (!responses_.empty()) {
-            return now + 1;
-        }
         sim::Cycle h = sim::kIdleForever;
         if (!in_flight_.empty()) {
             h = in_flight_.front().done_at > now ? in_flight_.front().done_at
@@ -128,8 +128,8 @@ public:
     }
 
     // --- checkpoint/restore -------------------------------------------------
-    /// Serializes the backing store (allocated pages only), both timed
-    /// queues, in-flight accesses, and statistics.
+    /// Serializes the backing store (allocated pages only), the request
+    /// queue, in-flight accesses, and statistics.
     void save_state(sim::StateSink& s) const;
     void load_state(sim::StateSource& s);
 
@@ -148,9 +148,8 @@ private:
 
     MainMemoryConfig cfg_;
     std::vector<std::vector<std::uint8_t>> pages_;  ///< lazily allocated
-    std::deque<MemRequest> queue_;
-    std::deque<InFlight> in_flight_;  ///< ordered by done_at (FIFO starts)
-    std::deque<MemResponse> responses_;
+    sim::Fifo<MemRequest> queue_;
+    sim::Fifo<InFlight> in_flight_;  ///< ordered by done_at (FIFO starts)
     sim::Cycle port_free_at_ = 0;
     std::uint64_t reads_served_ = 0;
     std::uint64_t writes_served_ = 0;

@@ -15,7 +15,6 @@ Interconnect::Interconnect(const InterconnectConfig& cfg,
     DTA_SIM_REQUIRE(cfg.bytes_per_cycle > 0, "bus bandwidth must be non-zero");
     DTA_SIM_REQUIRE(num_endpoints > 0, "interconnect needs endpoints");
     inject_.resize(num_endpoints);
-    inbox_.resize(num_endpoints);
     sinks_.assign(num_endpoints, nullptr);
     bus_free_at_.assign(cfg.num_buses, 0);
     set_name("noc");
@@ -38,7 +37,7 @@ bool Interconnect::can_inject(EndpointId src) const {
 
 bool Interconnect::try_inject(EndpointId src, Packet pkt, sim::Cycle now) {
     DTA_CHECK(src < inject_.size());
-    DTA_CHECK_MSG(pkt.dst < inbox_.size(), "packet addressed off the fabric");
+    DTA_CHECK_MSG(pkt.dst < sinks_.size(), "packet addressed off the fabric");
     if (inject_[src].size() >= cfg_.inject_queue_depth) {
         ++stats_.inject_stall_events;
         return false;
@@ -55,18 +54,14 @@ bool Interconnect::try_inject(EndpointId src, Packet pkt, sim::Cycle now) {
 }
 
 std::size_t Interconnect::pending() const {
-    std::size_t n = in_transit_.size() + inject_pending_;
-    for (const auto& q : inbox_) {
-        n += q.size();
-    }
-    return n;
+    return in_transit_.size() + inject_pending_;
 }
 
 sim::Cycle Interconnect::tick(sim::Cycle now) {
     if (inject_pending_ == 0 && in_transit_.empty()) {
         return horizon(now);  // empty fabric: nothing to mature or grant
     }
-    // 1. Mature in-flight packets into destination inboxes.
+    // 1. Mature in-flight packets into their destinations' sinks.
     while (!in_transit_.empty() && in_transit_.top().deliver_at <= now) {
         // priority_queue::top is const; copy (packets are small except DMA
         // lines, which are <= 128 bytes).
@@ -75,11 +70,10 @@ sim::Cycle Interconnect::tick(sim::Cycle now) {
         if (pkt_latency_ != nullptr) {
             pkt_latency_->record(now - it.pkt.enq_at);
         }
-        if (sinks_[it.pkt.dst] != nullptr) {
-            sinks_[it.pkt.dst]->push(std::move(it.pkt));
-        } else {
-            inbox_[it.pkt.dst].push_back(std::move(it.pkt));
-        }
+        sim::Port<Packet>* sink = sinks_[it.pkt.dst];
+        DTA_CHECK_MSG(sink != nullptr,
+                      "packet delivered to an unbound endpoint");
+        sink->push(std::move(it.pkt));
         ++stats_.packets_delivered;
     }
 
@@ -98,8 +92,7 @@ sim::Cycle Interconnect::tick(sim::Cycle now) {
             if (inject_[ep].empty()) {
                 continue;
             }
-            Packet pkt = std::move(inject_[ep].front());
-            inject_[ep].pop_front();
+            Packet pkt = inject_[ep].take_front();
             --inject_pending_;
             const std::uint32_t occupancy = transfer_cycles(pkt);
             bus_free_at_[bus] = now + occupancy;
@@ -116,17 +109,6 @@ sim::Cycle Interconnect::tick(sim::Cycle now) {
         }
     }
     return horizon(now);
-}
-
-bool Interconnect::pop_delivered(EndpointId dst, Packet& out) {
-    DTA_CHECK(dst < inbox_.size());
-    auto& q = inbox_[dst];
-    if (q.empty()) {
-        return false;
-    }
-    out = std::move(q.front());
-    q.pop_front();
-    return true;
 }
 
 void Interconnect::audit(const sim::AuditCtx& ctx) const {
@@ -146,8 +128,8 @@ void Interconnect::audit(const sim::AuditCtx& ctx) const {
                      " but the injection queues hold " +
                      std::to_string(queued) + " packets");
     }
-    // Conservation: a packet is counted delivered when it matures into a
-    // sink or inbox, so injected must equal delivered plus what is still on
+    // Conservation: a packet is counted delivered when it matures into its
+    // sink, so injected must equal delivered plus what is still on
     // a bus or waiting for one.
     if (stats_.packets_injected !=
         stats_.packets_delivered + in_transit_.size() + inject_pending_) {
@@ -178,9 +160,6 @@ void Interconnect::save_state(sim::StateSink& s) const {
         save_packet(s, it.pkt);
         pq.pop();
     }
-    for (const auto& q : inbox_) {
-        sim::save_seq(s, q, save_packet);
-    }
     s.u64(rr_next_);
     s.u64(seq_);
     s.u64(stats_.packets_injected);
@@ -208,9 +187,6 @@ void Interconnect::load_state(sim::StateSource& s) {
         load_packet(s, it.pkt);
         in_transit_.push(std::move(it));
     }
-    for (auto& q : inbox_) {
-        sim::load_seq(s, q, load_packet);
-    }
     rr_next_ = s.u64();
     seq_ = s.u64();
     stats_.packets_injected = s.u64();
@@ -221,24 +197,11 @@ void Interconnect::load_state(sim::StateSource& s) {
 }
 
 bool Interconnect::quiescent() const {
-    if (!in_transit_.empty() || inject_pending_ != 0) {
-        return false;
-    }
-    for (const auto& q : inbox_) {
-        if (!q.empty()) return false;
-    }
-    return true;
+    return in_transit_.empty() && inject_pending_ == 0;
 }
 
 sim::Cycle Interconnect::horizon(sim::Cycle now) const {
     sim::Cycle h = sim::kIdleForever;
-    // Undelivered inbox packets wait on an external pop; conservatively
-    // assume the consumer retries next cycle (only unbound endpoints).
-    for (const auto& q : inbox_) {
-        if (!q.empty()) {
-            return now + 1;
-        }
-    }
     if (!in_transit_.empty()) {
         h = std::min(h, std::max(in_transit_.top().deliver_at, now + 1));
     }

@@ -5,18 +5,19 @@
 /// packet occupies one bus for ceil(size / bytes_per_cycle) cycles and is
 /// delivered a fixed hop latency after its transfer completes.  Endpoints
 /// inject into bounded per-endpoint queues (full queue = back pressure that
-/// stalls the producer) and drain their inbox each cycle.  Arbitration is
-/// round-robin across endpoints, oldest-first within an endpoint, so the
-/// fabric is fair and deterministic.
+/// stalls the producer); a matured packet is pushed straight into its
+/// destination endpoint's bound port.  Arbitration is round-robin across
+/// endpoints, oldest-first within an endpoint, so the fabric is fair and
+/// deterministic.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <queue>
 #include <vector>
 
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
+#include "sim/fifo.hpp"
 #include "sim/metrics.hpp"
 #include "sim/port.hpp"
 #include "sim/types.hpp"
@@ -66,23 +67,18 @@ public:
         waker_comp_ = component;
     }
 
-    /// Binds endpoint \p dst to \p sink: matured packets are pushed there
-    /// directly during tick() instead of parking in the internal inbox.
-    /// This is how cross-layer wiring is declared once at construction.
+    /// Binds endpoint \p dst to \p sink: matured packets addressed to it
+    /// are pushed there during tick().  This is how cross-layer wiring is
+    /// declared once at construction; a delivery to an endpoint left
+    /// unbound is an internal error.
     void bind_endpoint(EndpointId dst, sim::Port<Packet>* sink);
 
-    /// Arbitrates buses and matures in-flight packets into bound sinks
-    /// (or the inboxes of unbound endpoints).  Returns the horizon:
-    /// matured-but-unfetched inbox packets and pending injections need a
-    /// next-cycle retry; otherwise the earliest of the next bus grant and
-    /// the next in-flight delivery.
+    /// Arbitrates buses and matures in-flight packets into their bound
+    /// sinks.  Returns the horizon: the earliest of the next bus grant (for
+    /// pending injections) and the next in-flight delivery.
     sim::Cycle tick(sim::Cycle now) override;
 
-    /// Pops the next delivered packet for \p dst, if any (unbound endpoints
-    /// only — bound endpoints receive deliveries through their sink port).
-    [[nodiscard]] bool pop_delivered(EndpointId dst, Packet& out);
-
-    /// True when no packet is queued, in transfer, or awaiting pickup.
+    /// True when no packet is queued or in transfer.
     [[nodiscard]] bool quiescent() const override;
 
     [[nodiscard]] const InterconnectStats& stats() const { return stats_; }
@@ -91,8 +87,8 @@ public:
         return static_cast<std::uint32_t>(inject_.size());
     }
 
-    /// Packets anywhere in the fabric (queued, on a bus, or undelivered) —
-    /// the congestion gauge the Machine's sampler records per fabric.
+    /// Packets anywhere in the fabric (queued or on a bus) — the congestion
+    /// gauge the Machine's sampler records per fabric.
     [[nodiscard]] std::size_t pending() const;
 
     /// Invariant audit (sim/audit.hpp): packet conservation — every packet
@@ -101,16 +97,16 @@ public:
     /// Read-only; reports violations through \p ctx.
     void audit(const sim::AuditCtx& ctx) const;
 
-    /// Resolves the noc.packet_latency histogram (injection → inbox
-    /// delivery, aggregated over every fabric); no-op when \p reg is
+    /// Resolves the noc.packet_latency histogram (injection → delivery
+    /// into the sink, aggregated over every fabric); no-op when \p reg is
     /// disabled.
     void attach_metrics(sim::MetricsRegistry& reg) {
         pkt_latency_ = reg.histogram("noc.packet_latency");
     }
 
     // --- checkpoint/restore -------------------------------------------------
-    /// Serializes queued, on-bus, and delivered-but-unfetched packets plus
-    /// arbitration cursors and statistics.  The priority queue is drained
+    /// Serializes queued and on-bus packets plus arbitration cursors and
+    /// statistics.  The priority queue is drained
     /// in (deliver_at, seq) order, so the section is canonical.
     void save_state(sim::StateSink& s) const override;
     void load_state(sim::StateSource& s) override;
@@ -131,11 +127,10 @@ private:
     [[nodiscard]] sim::Cycle horizon(sim::Cycle now) const;
 
     InterconnectConfig cfg_;
-    std::vector<std::deque<Packet>> inject_;   ///< per-endpoint injection queues
+    std::vector<sim::Fifo<Packet>> inject_;    ///< per-endpoint injection queues
     std::vector<sim::Cycle> bus_free_at_;      ///< per-bus availability
     std::priority_queue<InTransit, std::vector<InTransit>, std::greater<>>
         in_transit_;
-    std::vector<std::deque<Packet>> inbox_;    ///< per-endpoint delivered packets
     std::vector<sim::Port<Packet>*> sinks_;    ///< per-endpoint bound consumers
     std::size_t rr_next_ = 0;
     std::size_t inject_pending_ = 0;  ///< total packets across inject_ queues

@@ -21,14 +21,13 @@ bool Link::try_send(Packet pkt) {
 
 void Link::tick(sim::Cycle now) {
     while (!in_transit_.empty() && in_transit_.front().deliver_at <= now) {
-        delivered_.push_back(std::move(in_transit_.front().pkt));
-        in_transit_.pop_front();
+        DTA_CHECK_MSG(sink_ != nullptr, "link delivers into an unbound sink");
+        sink_->push(in_transit_.take_front().pkt);
     }
     if (queue_.empty() || wire_free_at_ > now) {
         return;
     }
-    Packet pkt = std::move(queue_.front());
-    queue_.pop_front();
+    Packet pkt = queue_.take_front();
     const std::uint32_t sz = pkt.size_bytes == 0 ? 1 : pkt.size_bytes;
     const std::uint32_t occupancy =
         (sz + cfg_.bytes_per_cycle - 1) / cfg_.bytes_per_cycle;
@@ -45,7 +44,6 @@ void Link::save_state(sim::StateSink& s) const {
         k.u64(it.deliver_at);
         save_packet(k, it.pkt);
     });
-    sim::save_seq(s, delivered_, save_packet);
     s.u64(wire_free_at_);
     s.u64(carried_);
     s.u64(bytes_);
@@ -57,19 +55,9 @@ void Link::load_state(sim::StateSource& s) {
         it.deliver_at = k.u64();
         load_packet(k, it.pkt);
     });
-    sim::load_seq(s, delivered_, load_packet);
     wire_free_at_ = s.u64();
     carried_ = s.u64();
     bytes_ = s.u64();
-}
-
-bool Link::pop_delivered(Packet& out) {
-    if (delivered_.empty()) {
-        return false;
-    }
-    out = std::move(delivered_.front());
-    delivered_.pop_front();
-    return true;
 }
 
 }  // namespace dta::noc

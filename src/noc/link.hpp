@@ -10,9 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "noc/packet.hpp"
+#include "sim/fifo.hpp"
+#include "sim/port.hpp"
 #include "sim/types.hpp"
 
 namespace dta::noc {
@@ -25,11 +26,14 @@ struct LinkConfig {
 };
 
 /// A unidirectional inter-node channel, ticked by its router (not a
-/// sim::Component).  Matured packets collect in `delivered_`, and the
-/// router pops and forwards them.
+/// sim::Component).  A matured packet is pushed straight into the sink
+/// port bound at machine construction: the next node's router arrivals.
 class Link {
 public:
     explicit Link(const LinkConfig& cfg);
+
+    /// Points deliveries at \p sink (bound once, before the first tick).
+    void bind_sink(sim::Port<Packet>* sink) { sink_ = sink; }
 
     [[nodiscard]] bool can_send() const {
         return queue_.size() < cfg_.queue_depth;
@@ -37,20 +41,17 @@ public:
     /// Returns false if the sender-side buffer is full.
     [[nodiscard]] bool try_send(Packet pkt);
 
+    /// Pushes matured packets into the sink, then starts the next queued
+    /// packet on the wire if it is free.
     void tick(sim::Cycle now);
 
-    [[nodiscard]] bool pop_delivered(Packet& out);
     [[nodiscard]] bool quiescent() const {
-        return queue_.empty() && in_transit_.empty() && delivered_.empty();
+        return queue_.empty() && in_transit_.empty();
     }
 
-    /// Horizon: delivered packets await an external pop next cycle; the
-    /// serialiser starts the next queued packet when the wire frees; an
-    /// in-flight packet matures at its deliver_at.
+    /// Horizon: the serialiser starts the next queued packet when the wire
+    /// frees; an in-flight packet matures at its deliver_at.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
-        if (!delivered_.empty()) {
-            return now + 1;
-        }
         sim::Cycle h = sim::kIdleForever;
         if (!in_transit_.empty()) {
             h = in_transit_.front().deliver_at > now
@@ -70,8 +71,7 @@ public:
     [[nodiscard]] const LinkConfig& config() const { return cfg_; }
 
     // --- checkpoint/restore -------------------------------------------------
-    /// Serializes sender queue, on-wire packets, delivered-but-unpopped
-    /// packets, and statistics.
+    /// Serializes the sender queue, on-wire packets, and statistics.
     void save_state(sim::StateSink& s) const;
     void load_state(sim::StateSource& s);
 
@@ -82,9 +82,9 @@ private:
     };
 
     LinkConfig cfg_;
-    std::deque<Packet> queue_;
-    std::deque<InTransit> in_transit_;  ///< FIFO: serialised in order
-    std::deque<Packet> delivered_;
+    sim::Port<Packet>* sink_ = nullptr;
+    sim::Fifo<Packet> queue_;
+    sim::Fifo<InTransit> in_transit_;  ///< FIFO: serialised in order
     sim::Cycle wire_free_at_ = 0;
     std::uint64_t carried_ = 0;
     std::uint64_t bytes_ = 0;

@@ -110,14 +110,7 @@ void Dse::steal_frame(sim::GlobalPeId pe) {
     --free_[local];
 }
 
-bool Dse::pop_outgoing(SchedMsg& out) {
-    if (outbox_.empty()) {
-        return false;
-    }
-    out = outbox_.front();
-    outbox_.pop_front();
-    return true;
-}
+bool Dse::pop_outgoing(SchedMsg& out) { return outbox_.pop(out); }
 
 void Dse::save_state(sim::StateSink& s) const {
     rx_.save_state(s, noc::save_packet);

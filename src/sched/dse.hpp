@@ -16,12 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "noc/packet.hpp"
 #include "sched/messages.hpp"
 #include "sim/component.hpp"
+#include "sim/fifo.hpp"
 #include "sim/metrics.hpp"
 #include "sim/port.hpp"
 #include "sim/types.hpp"
@@ -119,7 +119,7 @@ private:
     bool virtual_frames_;
     sim::Port<noc::Packet> rx_;        ///< fabric DSE-endpoint deliveries
     std::vector<std::uint32_t> free_;  ///< free-frame count per local PE
-    std::deque<Pending> pending_;
+    sim::Fifo<Pending> pending_;
     sim::Port<SchedMsg> outbox_;
     std::uint16_t rr_next_ = 0;
     DseStats stats_;

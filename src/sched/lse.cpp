@@ -126,8 +126,7 @@ std::uint32_t Lse::allocate_slot(sim::ThreadCodeId code, std::uint32_t sc,
         }
         return vid;
     }
-    const std::uint32_t slot = free_slots_.front();
-    free_slots_.pop_front();
+    const std::uint32_t slot = free_slots_.take_front();
     Frame& f = frames_[slot];
     f = Frame{};
     f.code = code;
@@ -219,15 +218,13 @@ void Lse::store_virtual(std::uint32_t vid, std::uint32_t word_off,
 
 void Lse::materialize_next() {
     while (!materialize_queue_.empty() && !free_slots_.empty()) {
-        const std::uint32_t vid = materialize_queue_.front();
-        materialize_queue_.pop_front();
+        const std::uint32_t vid = materialize_queue_.take_front();
         const auto it = virtual_.find(vid);
         DTA_CHECK(it != virtual_.end());
         VirtualFrame vf = std::move(it->second);
         virtual_.erase(it);
 
-        const std::uint32_t slot = free_slots_.front();
-        free_slots_.pop_front();
+        const std::uint32_t slot = free_slots_.take_front();
         Frame& f = frames_[slot];
         f = Frame{};
         f.code = vf.code;
@@ -276,8 +273,7 @@ bool Lse::pop_falloc_response(FallocDone& out) {
     if (falloc_done_.empty()) {
         return false;
     }
-    out = falloc_done_.front();
-    falloc_done_.pop_front();
+    out = falloc_done_.take_front();
     return true;
 }
 
@@ -416,8 +412,7 @@ bool Lse::pop_dispatch(sim::Cycle now, Dispatch& out) {
     if (!dispatch_pending_ || now < dispatch_ready_at_ || ready_.empty()) {
         return false;
     }
-    const std::uint32_t slot = ready_.front();
-    ready_.pop_front();
+    const std::uint32_t slot = ready_.take_front();
     Frame& f = frame_at(slot);
     DTA_CHECK(f.state == FrameState::kReady);
     if (dispatch_wait_ != nullptr) {
@@ -485,8 +480,7 @@ bool Lse::pop_outgoing(SchedMsg& out) {
     if (outbox_.empty()) {
         return false;
     }
-    out = outbox_.front();
-    outbox_.pop_front();
+    out = outbox_.take_front();
     return true;
 }
 
@@ -499,8 +493,7 @@ void Lse::tick(sim::Cycle now) {
         if (events_ != nullptr) {
             DTA_CHECK_MSG(!write_producers_.empty(),
                           "frame-write completion without a queued producer");
-            producer = write_producers_.front();
-            write_producers_.pop_front();
+            producer = write_producers_.take_front();
         }
         sc_arrived(static_cast<std::uint32_t>(resp.meta & 0xffffffffu),
                    static_cast<std::uint32_t>((resp.meta >> 32) & 0x7fffffffu),
@@ -942,7 +935,7 @@ void Lse::load_state(sim::StateSource& s) {
     const std::uint64_t nissue = s.u64();
     for (std::uint64_t i = 0; i < nissue; ++i) {
         const std::uint8_t rd = s.u8();
-        std::deque<sim::Cycle>& issues = falloc_issue_[rd];
+        sim::Fifo<sim::Cycle>& issues = falloc_issue_[rd];
         sim::load_seq(s, issues,
                       [](sim::StateSource& k, sim::Cycle& c) { c = k.u64(); });
     }

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "mem/local_store.hpp"
 #include "sched/messages.hpp"
 #include "sim/events.hpp"
+#include "sim/fifo.hpp"
 #include "sim/metrics.hpp"
 #include "sim/types.hpp"
 
@@ -376,10 +376,10 @@ private:
     sim::GlobalPeId self_;
     mem::LocalStore& ls_;
     std::vector<Frame> frames_;
-    std::deque<std::uint32_t> free_slots_;
-    std::deque<std::uint32_t> ready_;
-    std::deque<SchedMsg> outbox_;
-    std::deque<FallocDone> falloc_done_;
+    sim::Fifo<std::uint32_t> free_slots_;
+    sim::Fifo<std::uint32_t> ready_;
+    sim::Fifo<SchedMsg> outbox_;
+    sim::Fifo<FallocDone> falloc_done_;
     bool dispatch_pending_ = false;
     sim::Cycle dispatch_ready_at_ = 0;
     std::uint32_t live_frames_ = 0;
@@ -388,7 +388,7 @@ private:
     std::uint64_t uid_seq_ = 0;  ///< per-LSE thread-uid sequence (always on)
     // virtual-frame machinery (empty unless cfg_.virtual_frames)
     std::unordered_map<std::uint32_t, VirtualFrame> virtual_;
-    std::deque<std::uint32_t> materialize_queue_;  ///< complete virtual ids
+    sim::Fifo<std::uint32_t> materialize_queue_;   ///< complete virtual ids
     std::uint32_t next_virtual_id_ = 0;            ///< offset past cfg_.frames
     LseStats stats_;
 
@@ -398,13 +398,13 @@ private:
     /// Producer uid of each in-flight frame write, enqueue order (the LS
     /// completes a client's requests FIFO).  Touched only when events are
     /// on — keeps the uid out of the LsRequest/LsResponse hot structs.
-    std::deque<std::uint64_t> write_producers_;
+    sim::Fifo<std::uint64_t> write_producers_;
     sim::Histogram* falloc_wait_ = nullptr;
     sim::Histogram* dispatch_wait_ = nullptr;
     sim::Histogram* dma_suspend_ = nullptr;
     /// FALLOC issue cycles keyed by destination register, popped FIFO when
     /// the handle comes back (responses for one register stay in order).
-    std::map<std::uint8_t, std::deque<sim::Cycle>> falloc_issue_;
+    std::map<std::uint8_t, sim::Fifo<sim::Cycle>> falloc_issue_;
 };
 
 }  // namespace dta::sched

@@ -1,11 +1,12 @@
 /// \file fifo.hpp
-/// \brief `Fifo<T>`: the queue behind every `Port<T>` and the local
-///        store's request, in-flight and response lists.
+/// \brief `Fifo<T>`: the one queue type of the timed model — behind every
+///        `Port<T>`, and every FIFO list of the local store, LSE, DSE, MFC,
+///        main memory, bus fabric and ring links.
 ///
 /// A power-of-two ring over a `std::vector<T>` that keeps its capacity:
 /// once a queue has seen its peak depth, push and pop never touch the
-/// allocator again (a `std::deque` allocates and frees a block every few
-/// hundred bytes of traffic).  Growth doubles the ring and unwraps it, so
+/// allocator again (a deque allocates and frees a block every few hundred
+/// bytes of traffic).  Growth doubles the ring and unwraps it, so
 /// the element order is always head to tail.  An element leaves the ring
 /// either moved out (take_front) or reset to `T{}` (pop_front), so its own
 /// resources, such as a packet's payload, are released when it leaves the

@@ -43,7 +43,7 @@ namespace dta::sim {
 /// Current snapshot format version.  Bump on any incompatible layout
 /// change; the reader rejects mismatches with a clean SimError (see
 /// docs/CHECKPOINT.md for the versioning policy).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over \p size bytes.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size);

@@ -132,7 +132,6 @@ public:
     /// quiescent machine is finishing, not stalled.
     void record(const TelemetryFrame& frame, bool quiescent);
 
-    [[nodiscard]] std::uint64_t interval() const { return cfg_.interval; }
     [[nodiscard]] std::uint64_t captured() const { return captured_; }
     [[nodiscard]] bool stalled() const { return stalled_; }
     /// Latest frame (zeroed default before the first sample) — feeds the

@@ -285,7 +285,7 @@ TEST(SnapshotDeterminism, MismatchedConfigOrProgramRejected) {
     std::remove(path.c_str());
 }
 
-// The section list is part of the snapshot format (v3): renaming a
+// The section list is part of the snapshot format (v4): renaming a
 // component, or the ring links the Machine names itself, must show up
 // here rather than slip into the format unnoticed.
 TEST(SnapshotDeterminism, SectionNamesArePinned) {

@@ -70,7 +70,7 @@ TEST(MainMemory, ReadCompletesAfterLatency) {
     sim::Cycle done_at = 0;
     for (sim::Cycle now = 0; now < 400; ++now) {
         mem.tick(now);
-        if (mem.pop_response(resp)) {
+        if (mem.pop_response(now, resp)) {
             done_at = now;
             break;
         }
@@ -95,7 +95,7 @@ TEST(MainMemory, WritePayloadLandsInBackingStore) {
     for (sim::Cycle now = 0; now < 200 && !mem.quiescent(); ++now) {
         mem.tick(now);
         MemResponse resp;
-        (void)mem.pop_response(resp);
+        (void)mem.pop_response(now, resp);
     }
     EXPECT_EQ(mem.read_u32(0x80), 0x04030201u);
     EXPECT_EQ(mem.writes_served(), 1u);
@@ -129,7 +129,7 @@ TEST(MainMemory, SinglePortSerialisesStarts) {
     for (sim::Cycle now = 0; now < 100; ++now) {
         mem.tick(now);
         MemResponse resp;
-        while (mem.pop_response(resp)) {
+        while (mem.pop_response(now, resp)) {
             completions.push_back(now);
         }
     }
@@ -155,7 +155,7 @@ TEST(MainMemory, ResponsesPreserveFifoOrder) {
     for (sim::Cycle now = 0; now < 1000 && order.size() < 8; ++now) {
         mem.tick(now);
         MemResponse resp;
-        while (mem.pop_response(resp)) {
+        while (mem.pop_response(now, resp)) {
             order.push_back(resp.id);
         }
     }
@@ -175,9 +175,9 @@ TEST(MainMemory, LatencyOneConfigBehaves) {
     rq.size = 4;
     mem.enqueue(std::move(rq));
     mem.tick(0);  // starts
-    mem.tick(1);  // completes
+    mem.tick(1);
     MemResponse resp;
-    EXPECT_TRUE(mem.pop_response(resp));
+    EXPECT_TRUE(mem.pop_response(1, resp));  // completes
 }
 
 }  // namespace

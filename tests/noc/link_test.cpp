@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/port.hpp"
+
 namespace dta::noc {
 namespace {
 
@@ -17,12 +19,14 @@ TEST(Link, DeliversAfterSerialisationPlusLatency) {
     cfg.latency = 40;
     cfg.bytes_per_cycle = 16;
     Link link(cfg);
+    sim::Port<Packet> rx;
+    link.bind_sink(&rx);
     ASSERT_TRUE(link.try_send(mk(32)));  // 2 cycles wire + 40 latency
     Packet out;
     sim::Cycle got = 0;
     for (sim::Cycle now = 0; now < 100; ++now) {
         link.tick(now);
-        if (link.pop_delivered(out)) {
+        if (rx.pop(out)) {
             got = now;
             break;
         }
@@ -33,6 +37,8 @@ TEST(Link, DeliversAfterSerialisationPlusLatency) {
 
 TEST(Link, FifoOrderPreserved) {
     Link link(LinkConfig{});
+    sim::Port<Packet> rx;
+    link.bind_sink(&rx);
     for (std::uint64_t i = 0; i < 5; ++i) {
         Packet p = mk(16);
         p.a = i;
@@ -42,7 +48,7 @@ TEST(Link, FifoOrderPreserved) {
     Packet out;
     for (sim::Cycle now = 0; now < 200 && order.size() < 5; ++now) {
         link.tick(now);
-        while (link.pop_delivered(out)) {
+        while (rx.pop(out)) {
             order.push_back(out.a);
         }
     }
@@ -64,14 +70,14 @@ TEST(Link, QueueDepthBackPressure) {
 
 TEST(Link, StatisticsCountTraffic) {
     Link link(LinkConfig{});
+    sim::Port<Packet> rx;
+    link.bind_sink(&rx);
     ASSERT_TRUE(link.try_send(mk(64)));
     ASSERT_TRUE(link.try_send(mk(16)));
-    Packet out;
     for (sim::Cycle now = 0; now < 200; ++now) {
         link.tick(now);
-        while (link.pop_delivered(out)) {
-        }
     }
+    EXPECT_EQ(rx.size(), 2u);
     EXPECT_EQ(link.packets_carried(), 2u);
     EXPECT_EQ(link.bytes_carried(), 80u);
 }

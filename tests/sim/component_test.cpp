@@ -15,6 +15,7 @@
 #include "noc/interconnect.hpp"
 #include "noc/link.hpp"
 #include "sched/messages.hpp"
+#include "sim/port.hpp"
 #include "sim/types.hpp"
 
 namespace dta {
@@ -43,12 +44,9 @@ TEST(MainMemoryHorizon, FollowsRequestLifetime) {
     m.tick(1);  // starts; retires at 1 + latency
     EXPECT_EQ(m.next_activity(1), 1u + m.config().latency);
 
-    m.tick(1 + m.config().latency);  // retires into the response queue
-    EXPECT_EQ(m.next_activity(1 + m.config().latency),
-              2u + m.config().latency);  // response awaits an external pop
-
     mem::MemResponse resp;
-    ASSERT_TRUE(m.pop_response(resp));
+    EXPECT_FALSE(m.pop_response(m.config().latency, resp));
+    ASSERT_TRUE(m.pop_response(1 + m.config().latency, resp));  // retires
     EXPECT_EQ(resp.id, 7u);
     EXPECT_EQ(m.next_activity(1 + m.config().latency), sim::kIdleForever);
     EXPECT_TRUE(m.quiescent());
@@ -107,6 +105,8 @@ TEST(InterconnectHorizon, IdleIsForever) {
 TEST(InterconnectHorizon, FollowsPacketLifetime) {
     const noc::InterconnectConfig cfg;
     noc::Interconnect ic{cfg, 2};
+    sim::Port<noc::Packet> rx;
+    ic.bind_endpoint(1, &rx);
 
     noc::Packet pkt;
     pkt.dst = 1;
@@ -117,13 +117,11 @@ TEST(InterconnectHorizon, FollowsPacketLifetime) {
     const sim::Cycle deliver_at = 1 + 1 + cfg.hop_latency;
     EXPECT_EQ(ic.tick(1), deliver_at);
 
-    // Matures into the (unbound) endpoint inbox, awaiting an external pop.
-    EXPECT_EQ(ic.tick(deliver_at), deliver_at + 1);
-
-    noc::Packet out;
-    ASSERT_TRUE(ic.pop_delivered(1, out));
-    EXPECT_EQ(ic.tick(deliver_at + 1), sim::kIdleForever);
+    // Matures straight into the endpoint's port: nothing is left to do.
+    EXPECT_EQ(ic.tick(deliver_at), sim::kIdleForever);
     EXPECT_TRUE(ic.quiescent());
+    noc::Packet out;
+    ASSERT_TRUE(rx.pop(out));
 }
 
 TEST(InterconnectHorizon, OccupancyScalesWithPacketSize) {
@@ -147,6 +145,8 @@ TEST(LinkHorizon, IdleIsForever) {
 TEST(LinkHorizon, FollowsPacketLifetime) {
     const noc::LinkConfig cfg;
     noc::Link link{cfg};
+    sim::Port<noc::Packet> rx;
+    link.bind_sink(&rx);
 
     noc::Packet pkt;
     pkt.size_bytes = 16;  // serialises in one cycle
@@ -157,13 +157,11 @@ TEST(LinkHorizon, FollowsPacketLifetime) {
     const sim::Cycle deliver_at = 1 + 1 + cfg.latency;
     EXPECT_EQ(link.next_activity(1), deliver_at);
 
-    link.tick(deliver_at);  // matured, waiting for the router to pop it
-    EXPECT_EQ(link.next_activity(deliver_at), deliver_at + 1);
-
-    noc::Packet out;
-    ASSERT_TRUE(link.pop_delivered(out));
+    link.tick(deliver_at);  // matured straight into the sink port
     EXPECT_EQ(link.next_activity(deliver_at), sim::kIdleForever);
     EXPECT_TRUE(link.quiescent());
+    noc::Packet out;
+    ASSERT_TRUE(rx.pop(out));
 }
 
 TEST(LinkHorizon, SecondPacketWaitsForWire) {

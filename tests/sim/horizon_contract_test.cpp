@@ -166,7 +166,7 @@ class MemHarness {
     [[nodiscard]] bool quiescent() const { return mem_.quiescent(); }
     void drain(sim::Cycle c, std::string& log) {
         mem::MemResponse resp;
-        while (mem_.pop_response(resp)) {
+        while (mem_.pop_response(c, resp)) {
             append(log, c, ":mem:", resp.id);
         }
     }
@@ -205,9 +205,7 @@ class IcHarness {
 
     IcHarness(const Config& cfg, std::uint64_t seed)
         : ic_(cfg, kEndpoints) {
-        // Endpoints deliver into ports, as the Machine binds them.  With
-        // unbound inboxes the horizon tick() returns would come before
-        // drain() empties them, and so be conservatively early.
+        // Endpoints deliver into ports, as the Machine binds them.
         for (noc::EndpointId ep = 0; ep < kEndpoints; ++ep) {
             ic_.bind_endpoint(ep, &rx_[ep]);
         }
@@ -287,6 +285,7 @@ class LinkHarness {
     using Config = noc::LinkConfig;
 
     LinkHarness(const Config& cfg, std::uint64_t seed) : link_(cfg) {
+        link_.bind_sink(&rx_);  // as the Machine binds the next router
         Rng rng(seed);
         sim::Cycle at = 1;
         for (std::uint64_t seq = 0; seq < 200; ++seq) {
@@ -321,13 +320,14 @@ class LinkHarness {
     [[nodiscard]] bool quiescent() const { return link_.quiescent(); }
     void drain(sim::Cycle c, std::string& log) {
         noc::Packet out;
-        while (link_.pop_delivered(out)) {
+        while (rx_.pop(out)) {
             append(log, c, ":pkt:", out.a);
         }
     }
 
  private:
     noc::Link link_;
+    sim::Port<noc::Packet> rx_;
     std::vector<std::pair<sim::Cycle, noc::Packet>> schedule_;
     std::size_t cursor_ = 0;
 };

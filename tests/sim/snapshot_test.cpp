@@ -196,25 +196,32 @@ TEST(Snapshot, PayloadCorruptionTripsCrc) {
 
 TEST(Snapshot, VersionMismatchIsSimError) {
     const std::string path = tmp_path("version.dtasnap");
-    {
-        SnapshotWriter w(1, 2);
-        w.section("s").u64(0);
-        w.write(path);
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)), {});
-    in.close();
-    bytes[8] = char(0x7f);  // the u32 version field follows the 8-byte magic
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    try {
-        const SnapshotReader r(path);
-        FAIL() << "version mismatch accepted";
-    } catch (const SimError& e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-            << e.what();
+    // The previous format (its layout differs) and one from the future.
+    for (const std::uint32_t version : {kSnapshotFormatVersion - 1, 0x7fu}) {
+        {
+            SnapshotWriter w(1, 2);
+            w.section("s").u64(0);
+            w.write(path);
+        }
+        std::ifstream in(path, std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(in)), {});
+        in.close();
+        // The u32 version field follows the 8-byte magic.
+        bytes[8] = static_cast<char>(version);
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        try {
+            const SnapshotReader r(path);
+            FAIL() << "version " << version << " accepted";
+        } catch (const SimError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "format version " + std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
     }
     std::remove(path.c_str());
 }
